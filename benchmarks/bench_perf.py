@@ -48,8 +48,7 @@ Usage::
                                                     # sharded/process/remote
                                                     # HnD ratios vs a fresh
                                                     # fused anchor, O(nnz)
-                                                    # GLAD vs seed reference,
-                                                    # momentum iterations
+                                                    # GLAD vs seed reference
     python benchmarks/bench_perf.py --update-speedwar  # rewrite BENCH_PR7.json
 
 The PR 1 JSON file holds two sections: ``seed`` (timings captured on the
@@ -149,8 +148,6 @@ SPEEDWAR_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR7.json"
 SPEEDWAR_SHARDED_CEILING = 1.3       # sharded-threads / fused, was ~2.2x
 SPEEDWAR_BACKEND_IMPROVEMENT = 2.0   # process + remote vs committed ratios
 SPEEDWAR_GLAD_FLOOR = 8.0            # seed-reference / O(nnz) GLAD, was 3.4x
-SPEEDWAR_ACCEL_ITERATION_CEILING = 0.7  # momentum / plain iterations
-SPEEDWAR_ACCEL_TIE_GAP = 1e-5        # ranking_inversion_gap(plain, momentum)
 SPEEDWAR_ITERATION_BATCH = 32
 
 #: Required warm-hit speedup of the rank cache in the sharded scenario.
@@ -658,7 +655,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
                   density: float = 0.001, num_options: int = 4,
                   num_shards: int = 8, max_workers: int = 4,
                   seed: int = 7, repeats: int = 3) -> Dict[str, object]:
-    """Measure all four PR 7 gaps on the canonical crowd, median-of-N.
+    """Measure the PR 7 gaps on the canonical crowd, median-of-N.
 
     Every timed segment is a ratio to a *fresh* fused anchor measured in
     the same run, so the committed gates hold on hardware of any speed;
@@ -672,7 +669,6 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
     from repro.api import rank as api_rank
     from repro.engine import ShardedResponse
     from repro.engine.remote.supervision import SupervisionConfig
-    from repro.evaluation.metrics import ranking_inversion_gap
     from repro.truth_discovery.reference import ReferenceGLADRanker
 
     users, items, options, results = _scenario_crowd(
@@ -712,7 +708,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
                                  "HnD-Power_sharded_seconds"), 3
     )
 
-    # (b) Batched-iteration dispatch: process pool and remote sockets.
+    # (b) Whole-solve dispatch: process pool and remote sockets.
     process_policy = ExecutionPolicy(
         backend="processes", shards=num_shards, workers=max_workers,
         iteration_batch=SPEEDWAR_ITERATION_BATCH,
@@ -785,46 +781,12 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
         float(spearmanr(glad.scores, seed_glad.scores).statistic), 6
     )
 
-    # (d) Momentum-accelerated HnD vs a plain solve at equal *tight*
-    # tolerance.  The comparison deliberately runs at 1e-8, not the 1e-5
-    # default the anchor uses: the inversion-gap contract compares two
-    # *converged* solves, and at 1e-5 the plain run's own remaining error
-    # (residual / (1 - contraction rate), ~1e-3 at this scale's ~0.9984
-    # per-iteration rate) dwarfs the 1e-5 tie bound — the gap would
-    # measure the baseline's sloppiness, not the acceleration's fidelity.
-    # Both runs share random_state, so the iteration counts and the gap
-    # are deterministic: one run each, no median needed.
-    accel_tolerance, accel_budget = 1e-8, 40_000
-    plain_started = time.perf_counter()
-    plain_tight = HNDPower(random_state=0, tolerance=accel_tolerance,
-                           max_iterations=accel_budget).rank(source)
-    results["accel_plain_seconds"] = round(
-        time.perf_counter() - plain_started, 4
-    )
-    accel_started = time.perf_counter()
-    accel = HNDPower(random_state=0, tolerance=accel_tolerance,
-                     max_iterations=accel_budget,
-                     acceleration="momentum").rank(source)
-    results["accel_seconds"] = round(time.perf_counter() - accel_started, 4)
-    results["accel_tolerance"] = accel_tolerance
-    results["accel_mode"] = accel.diagnostics["acceleration"]
-    results["accel_plain_iterations"] = int(
-        plain_tight.diagnostics["iterations"]
-    )
-    results["accel_iterations"] = int(accel.diagnostics["iterations"])
-    results["accel_iteration_ratio"] = round(
-        results["accel_iterations"] / results["accel_plain_iterations"], 3
-    )
-    results["accel_inversion_gap"] = float(
-        ranking_inversion_gap(plain_tight.scores, accel.scores)
-    )
-
     results["peak_rss_mb"] = round(_peak_rss_mb(), 1)
     return results
 
 
 def _check_speedwar(results: Dict[str, object]) -> List[str]:
-    """The four speed-war gates (machine-independent ratios)."""
+    """The speed-war gates (machine-independent ratios)."""
     failures = []
     if results["sharded_vs_fused"] > SPEEDWAR_SHARDED_CEILING:
         failures.append(
@@ -845,22 +807,6 @@ def _check_speedwar(results: Dict[str, object]) -> List[str]:
         failures.append(
             "GLAD speedup vs seed reference %.1fx is below the %.0fx floor"
             % (results["glad_speedup_vs_seed"], SPEEDWAR_GLAD_FLOOR)
-        )
-    if results["accel_mode"] != "momentum":
-        failures.append(
-            "accelerated solve fell back to %r" % results["accel_mode"]
-        )
-    if results["accel_iteration_ratio"] > SPEEDWAR_ACCEL_ITERATION_CEILING:
-        failures.append(
-            "momentum iterations ratio %.2f exceeds the %.2f ceiling "
-            "(needs >= 30%% fewer iterations)"
-            % (results["accel_iteration_ratio"],
-               SPEEDWAR_ACCEL_ITERATION_CEILING)
-        )
-    if results["accel_inversion_gap"] > SPEEDWAR_ACCEL_TIE_GAP:
-        failures.append(
-            "momentum ranking inversion gap %.3g exceeds the tie bound %.0e"
-            % (results["accel_inversion_gap"], SPEEDWAR_ACCEL_TIE_GAP)
         )
     return failures
 
@@ -893,14 +839,6 @@ def _print_speedwar(results: Dict[str, object]) -> None:
               results["glad_seconds"], results["glad_seed_seconds"],
               results["glad_speedup_vs_seed"],
               results["glad_spearman_vs_seed"],
-          ))
-    print("  momentum HnD @ tol %.0e: %d -> %d iterations (%.2fx, "
-          "%.1f s -> %.1f s), inversion gap %.3g" % (
-              results["accel_tolerance"],
-              results["accel_plain_iterations"], results["accel_iterations"],
-              results["accel_iteration_ratio"],
-              results["accel_plain_seconds"], results["accel_seconds"],
-              results["accel_inversion_gap"],
           ))
     print("  peak RSS: %.0f MB" % results["peak_rss_mb"])
     print()
@@ -1238,11 +1176,11 @@ def main(argv: List[str] | None = None) -> int:
                         help="run the remote scenario and rewrite "
                              "BENCH_PR6.json")
     parser.add_argument("--speedwar", action="store_true",
-                        help="run the PR 7 speed-war scenario: the four "
+                        help="run the PR 7 speed-war scenario: the "
                              "single-node gaps (sharded/process/remote HnD "
                              "ratios vs fused, O(nnz) GLAD vs the seed "
-                             "reference, momentum iterations) gated on "
-                             "machine-independent ratios")
+                             "reference) gated on machine-independent "
+                             "ratios")
     parser.add_argument("--update-speedwar", action="store_true",
                         help="run the speed-war scenario and rewrite "
                              "BENCH_PR7.json")
@@ -1293,7 +1231,7 @@ def main(argv: List[str] | None = None) -> int:
                         "anchor), then over the thread backend (per-shard "
                         "CSR kernels), the process pool and two localhost "
                         "socket workers (both with iteration_batch=%d, "
-                        "i.e. %d solver iterations per dispatch on a "
+                        "i.e. the whole eigensolve in one dispatch on a "
                         "worker-held replica), every score vector asserted "
                         "bit-identical to fused.  Gates are ratios to the "
                         "fresh fused anchor, compared against the ratios "
@@ -1302,16 +1240,8 @@ def main(argv: List[str] | None = None) -> int:
                         "GLAD runs the O(nnz) M-step against the frozen "
                         "seed-faithful ReferenceGLADRanker at a reduced "
                         "20k x 2k scale (the dense reference needs "
-                        "O(m * n) memory per gradient step).  The momentum "
-                        "pair (plain vs acceleration='momentum', same seed) "
-                        "runs once each at tolerance 1e-8 — tight enough "
-                        "that the plain baseline's own remaining error sits "
-                        "below the 1e-5 tie bound, so the inversion gap "
-                        "measures the acceleration, not the baseline — and "
-                        "records the iteration ratio and the gap." % (
-                            SPEEDWAR_ITERATION_BATCH,
-                            SPEEDWAR_ITERATION_BATCH,
-                        )
+                        "O(m * n) memory per gradient step)."
+                        % SPEEDWAR_ITERATION_BATCH
                     ),
                 },
                 "speedwar": speedwar_results,

@@ -71,12 +71,12 @@ class ExecutionPolicy:
         :class:`~repro.engine.remote.supervision.SupervisionConfig`
         overriding the remote backend's timeout/retry/breaker defaults.
     iteration_batch:
-        Solver iterations per dispatch for the ``processes`` and
-        ``remote`` backends (default 1 — per-op dispatch).  Above 1, the
-        HnD power loop ships its serialized driver state and runs that
-        many iterations per task/socket round-trip on a worker-held full
-        replica of the fused kernel, amortizing the dispatch latency.
-        Execution-only: every batch size produces bit-identical scores,
+        Dispatch mode of the HnD eigensolve on the ``processes`` and
+        ``remote`` backends (default 1 — one round-trip per shard op).
+        Above 1, the solve ships its start vector once and runs whole, in
+        one task/socket round-trip, on a worker-held full replica of the
+        fused kernel; the value itself does not matter beyond that.
+        Execution-only: every setting produces bit-identical scores,
         so the cache fingerprint ignores it.  Meaningless (rejected) for
         ``fused``/``threads``, whose dispatch has no round-trip to
         amortize.

@@ -40,10 +40,11 @@ from repro.api.execution import (
     rank as _rank,
     warm_start_fingerprint,
 )
+from repro.api.registry import REGISTRY
 from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.core.solver_state import SolverState
-from repro.engine.cache import RankCache
+from repro.engine.cache import RankCache, ranker_fingerprint
 from repro.exceptions import InvalidResponseMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -303,9 +304,15 @@ class CrowdSession:
             ranking = _rank(self.matrix, method, execution=policy,
                             cache=self.cache, init_state=init_state, **params)
             # Record this crowd state in the warm-start lineage (the digest
-            # is memoized on the matrix, so this costs a dict insert).
+            # is memoized on the matrix, so this costs a dict insert), and
+            # drop this method's cached rankings of earlier states: they
+            # can never hit again, and the current one seeds warm starts.
             current_hash = self.matrix.content_hash()
             self._ranked_hashes.add(current_hash)
+            self.cache.discard_superseded(
+                ranker_fingerprint(REGISTRY.get(method).create(**params)),
+                current_hash, self._ranked_hashes,
+            )
             if (
                 self.store is not None
                 and self.name is not None
@@ -314,11 +321,11 @@ class CrowdSession:
                 # Persist the crowd that was just ranked, behind the solve:
                 # the matrix object is immutable (an append builds a new
                 # one), so handing it to the write-behind thread is safe,
+                # the store keeps only the newest pending save per crowd,
                 # and the watermark keeps an unchanged crowd from being
                 # re-saved on every rank.
-                store, name, matrix = self.store, self.name, self._matrix
                 self._persisted_hash = current_hash
-                store.defer(lambda: store.save_crowd(name, matrix))
+                self.store.defer_crowd_save(self.name, self._matrix)
         return ranking
 
     def _warm_state(self, method: str, params: Dict[str, object]) -> Optional[SolverState]:

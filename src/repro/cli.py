@@ -292,19 +292,6 @@ def command_rank(args: argparse.Namespace) -> int:
                 return 2
     elif spec.takes("random_state"):
         params["random_state"] = args.seed
-    if args.acceleration is not None:
-        # Same contract as --random-state: an accelerator flag aimed at a
-        # method without the parameter is a user error, not a no-op.
-        if not spec.takes("acceleration"):
-            print(
-                "error: method %r takes no acceleration parameter; "
-                "--acceleration has no effect on it" % spec.name,
-                file=sys.stderr,
-            )
-            return 2
-        params["acceleration"] = (
-            None if args.acceleration == "none" else args.acceleration
-        )
     if args.iteration_batch < 1:
         print(
             "error: --iteration-batch must be >= 1, got %d"
@@ -312,13 +299,12 @@ def command_rank(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.iteration_batch > 1 and not spec.takes("acceleration"):
-        # Batching amortizes per-iteration dispatch round-trips; only the
-        # power-iteration methods (HnD) have an iteration loop to batch.
+    if args.iteration_batch > 1 and spec.name != "HnD":
+        # Above 1 the HnD eigensolve runs whole on a worker; no other
+        # method has a solve to ship.
         print(
             "error: method %r has no batched-iteration path; "
-            "--iteration-batch only applies to power-iteration methods"
-            % spec.name,
+            "--iteration-batch only applies to HnD" % spec.name,
             file=sys.stderr,
         )
         return 2
@@ -752,17 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "defaults to the global --seed")
     rank.add_argument("--iteration-batch", type=int, default=1,
                       metavar="STEPS",
-                      help="solver iterations executed per dispatch on the "
-                           "processes/remote backends (amortizes the "
-                           "round-trip; bit-identical at any batch size); "
-                           "only power-iteration methods accept > 1, and "
-                           "the fused/threads backends reject it (exit 2)")
-    rank.add_argument("--acceleration", default=None,
-                      choices=["momentum", "none"],
-                      help="power-iteration acceleration for methods that "
-                           "take it (HnD): 'momentum' cuts iterations ~30%% "
-                           "and falls back to the plain solve if it blows "
-                           "up; exits 2 for methods without the parameter")
+                      help="above 1, run the whole HnD eigensolve in one "
+                           "dispatch on a processes/remote worker instead "
+                           "of one round-trip per matvec (bit-identical "
+                           "either way); only HnD accepts > 1, and the "
+                           "fused/threads backends reject it (exit 2)")
     rank.add_argument("--top", type=int, default=10,
                       help="how many top-ranked users to print")
     rank.add_argument("--chunk-size", type=int, default=65536,

@@ -3,9 +3,12 @@
 All three variants compute the ordering of the 2nd largest eigenvector of
 the AVGHITS update matrix ``U = C_row (C_col)^T`` and differ only in *how*:
 
-* :class:`HNDPower` — Algorithm 1: power iteration on the difference update
-  matrix ``U_diff = S U T`` implemented matrix-free with only matrix-vector
-  products (``O(mnt)`` total).  This is the paper's recommended variant.
+* :class:`HNDPower` — Algorithm 1's eigenproblem: the dominant eigenvector
+  of the difference update matrix ``U_diff = S U T``, applied matrix-free
+  with only matrix-vector products (``O(mnt)`` total).  Algorithm 1 finds it
+  by power iteration; this implementation runs implicitly restarted
+  Arnoldi on the same operator, which needs far fewer products.  This is
+  the paper's recommended variant.
 * :class:`HNDDirect` — Arnoldi iteration (``scipy.sparse.linalg.eigs``) on
   the materialized ``U`` (``O(m^2 n)`` for the materialization).
 * :class:`HNDDeflation` — Hotelling deflation of ``U`` followed by a power
@@ -18,7 +21,6 @@ in the returned :class:`~repro.core.ranking.AbilityRanking`.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -39,9 +41,9 @@ from repro.linalg.operators import apply_cumulative
 from repro.linalg.power_iteration import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    PowerIterationDriver,
+    PowerIterationResult,
 )
-from repro.linalg.spectral import second_largest_eigenvector
+from repro.linalg.spectral import dominant_eigenpair, second_largest_eigenvector
 
 RandomState = Optional[Union[int, np.random.Generator]]
 
@@ -69,71 +71,57 @@ def hnd_power_solve(
     random_state: RandomState,
     init_state: Optional[SolverState] = None,
     acceleration: Optional[str] = None,
-    run_chunk: Optional[Callable[[PowerIterationDriver, int], None]] = None,
-    iteration_batch: int = 1,
+    run_solve: Optional[Callable[..., PowerIterationResult]] = None,
 ):
-    """The HnD power solve with optional warm start; shared by all backends.
+    """The HnD eigensolve with optional warm start; shared by all backends.
+
+    Computes the dominant eigenpair of ``U_diff`` (applied by
+    ``diff_step``) with :func:`~repro.linalg.spectral.dominant_eigenpair`:
+    implicitly restarted Arnoldi from the stored difference vector when a
+    compatible warm state is offered, else from a ``standard_normal`` draw
+    seeded by ``random_state``.  ``tolerance`` is ARPACK's relative Ritz
+    tolerance and ``max_iterations`` bounds the matvecs.
 
     Returns ``(result, state, warm_mode)``: the
-    :class:`~repro.linalg.power_iteration.PowerIterationResult`, the
-    captured :class:`SolverState` (the converged difference vector — the
-    exact iterate a follow-up solve restarts from), and how the warm start
-    went: ``"cold"`` (no state offered), ``"warm"`` (state used),
+    :class:`~repro.linalg.power_iteration.PowerIterationResult`
+    (``iterations`` counts matvecs, ``residual`` is the true
+    ``||U_diff x - lambda x||``), the captured :class:`SolverState` (the
+    difference vector a follow-up solve restarts from), and how the warm
+    start went: ``"cold"`` (no state offered), ``"warm"`` (state used),
     ``"incompatible-cold"`` (state rejected up front — wrong method or a
     shrunk user axis), or ``"fallback-cold"`` (the warm attempt's residual
-    blew up — non-finite, e.g. a poisoned state — and the solve was rerun
-    cold).  A warm attempt that merely exhausts ``max_iterations`` with a
-    finite residual keeps its iterate: it is at least as close to the
-    fixed point as a cold rerun would get with the same budget, so
-    rerunning would double the cost for nothing.
+    is non-finite — e.g. a poisoned state — and the solve was rerun cold).
+    A warm attempt that merely exhausts ``max_iterations`` keeps its
+    result.
 
-    A warm start is just a different initial vector: given the same state,
-    every execution backend walks a bit-identical trajectory, and with no
-    state the behaviour is exactly the pre-warm-start cold solve.
-
-    ``acceleration`` opts into the momentum scheme of
-    :class:`~repro.linalg.power_iteration.PowerIterationDriver`.  It gets
-    the same treatment as warm starts: a blow-up (non-finite residual)
-    after any warm fallback triggers one plain rerun, reported as
-    ``acceleration="fallback-plain"`` on the result, so a mis-tuned
-    momentum coefficient can cost time but never a ranking.
-
-    ``run_chunk`` (with ``iteration_batch``) hands the iteration loop to an
-    execution backend in batches: it is called as ``run_chunk(driver, k)``
-    and must advance the driver ``k`` iterations (wherever it likes — the
-    driver state serializes).  When omitted the loop runs in-process on
-    ``diff_step``.
+    ``run_solve(start, tolerance, max_iterations)`` hands the whole solve to
+    an execution backend that runs ``dominant_eigenpair`` where the data
+    lives (see :meth:`~repro.engine.rankers.ShardKernels.hnd_solve_runner`);
+    when omitted it runs in-process on ``diff_step``.  Either way the solve
+    is a pure function of the start vector, so every backend returns the
+    same bits.  ``acceleration`` accepts ``None`` only.
     """
-    initial = warm_vector(init_state, "HnD", "diff_vector", num_users - 1, 0.0)
+    if acceleration is not None:
+        raise ValueError("HnD takes no acceleration, got %r"
+                         % (acceleration,))
+    size = num_users - 1
+    initial = warm_vector(init_state, "HnD", "diff_vector", size, 0.0)
     warm_mode = "cold"
     if init_state is not None:
         warm_mode = "warm" if initial is not None else "incompatible-cold"
+    if run_solve is None:
+        def run_solve(start, tol, budget):
+            return dominant_eigenpair(diff_step, start, tolerance=tol,
+                                      max_iterations=budget)
 
-    def solve(start: Optional[np.ndarray], accel: Optional[str]):
-        driver = PowerIterationDriver(
-            diff_step,
-            num_users - 1,
-            initial=start,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            random_state=random_state,
-            acceleration=accel,
-        )
-        if run_chunk is None:
-            driver.advance()
-        else:
-            while not driver.finished:
-                run_chunk(driver, iteration_batch)
-        return driver.result()
+    def cold_start() -> np.ndarray:
+        return np.random.default_rng(random_state).standard_normal(size)
 
-    result = solve(initial, acceleration)
+    start = cold_start() if initial is None else initial
+    result = run_solve(start, tolerance, max_iterations)
     if initial is not None and not np.isfinite(result.residual):
-        result = solve(None, acceleration)
+        result = run_solve(cold_start(), tolerance, max_iterations)
         warm_mode = "fallback-cold"
-    if acceleration is not None and not np.isfinite(result.residual):
-        result = dataclasses.replace(
-            solve(None, None), acceleration="fallback-plain"
-        )
     state = SolverState(
         "HnD",
         {"diff_vector": result.vector},
@@ -148,18 +136,18 @@ def hnd_power_solve(
     params=("tolerance", "max_iterations", "break_symmetry",
             "check_connectivity", "random_state", "acceleration"),
     warm_startable=True,
-    summary="HITSnDIFFS power iteration (Algorithm 1, the paper's method)",
+    summary="HITSnDIFFS matrix-free eigensolve (Algorithm 1, the paper's method)",
 )
 class HNDPower(AbilityRanker):
-    """HITSnDIFFS via the matrix-free power iteration of Algorithm 1.
+    """HITSnDIFFS via a matrix-free eigensolve of Algorithm 1's operator.
 
     Parameters
     ----------
     tolerance:
-        Convergence threshold on the L2 change of the (unit-norm) user score
-        difference vector; the paper uses ``1e-5``.
+        Relative Ritz-residual tolerance of the Arnoldi solve; the paper
+        uses ``1e-5`` (for its power iteration's iterate change).
     max_iterations:
-        Iteration budget.
+        Matvec budget.
     break_symmetry:
         Apply the decile-entropy orientation heuristic (Section III-D).
         Disable only when the caller wants the raw eigenvector ordering.
@@ -169,12 +157,7 @@ class HNDPower(AbilityRanker):
     random_state:
         Seed for the random initialization of the score differences.
     acceleration:
-        ``None`` (plain power iteration) or ``"momentum"`` (adaptive
-        heavy-ball).  Momentum changes the float trajectory — the contract
-        is ranking equivalence within the ``ranking_inversion_gap`` tie
-        bound, not bit-identity — and a diverging accelerated solve falls
-        back to one plain rerun (``acceleration="fallback-plain"`` in the
-        diagnostics), mirroring the warm-start fallback.
+        ``None`` only; kept so existing callers that pass it still work.
     """
 
     name = "HnD"
@@ -226,7 +209,7 @@ class HNDPower(AbilityRanker):
             "eigenvalue": result.eigenvalue,
             "diff_vector_variance": float(np.var(result.vector)),
             "warm_start": warm_mode,
-            "acceleration": result.acceleration,
+            "solver": "arnoldi",
         }
         if self.break_symmetry:
             scores, symmetry_diag = orient_scores(response, scores)

@@ -300,6 +300,31 @@ class RankCache:
             return self.store.latest_state(fingerprint, hashes=hashes)
         return None
 
+    def discard_superseded(
+        self,
+        fingerprint: Optional[Tuple],
+        current_hash: str,
+        hashes: AbstractSet[str],
+    ) -> int:
+        """Drop the entries ``current_hash`` supersedes; return how many.
+
+        A growing crowd never returns to an earlier state, so once it has a
+        ranking for ``current_hash`` its entries under the same
+        ``fingerprint`` for its earlier states (the other content hashes in
+        ``hashes``, its own history) can never hit again; the newest one
+        stays and still seeds warm starts.  Entries of other crowds and
+        the disk tier are untouched.
+        """
+        if fingerprint is None:
+            return 0
+        with self._lock:
+            stale = [key for key in self._entries
+                     if key[1] == fingerprint and key[0] != current_hash
+                     and key[0] in hashes]
+            for key in stale:
+                del self._entries[key]
+        return len(stale)
+
     def clear(self) -> None:
         """Drop the in-memory entries (the disk tier is not touched)."""
         with self._lock:

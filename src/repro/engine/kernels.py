@@ -184,7 +184,7 @@ def hnd_difference_step(
     ``O(m)`` cumulative-sum and difference wrappers are shared code, and the
     AVGHITS core is :func:`avghits_apply` above.  The ``O(m)`` score and
     ``O(nnz)`` gather buffers are hoisted into the closure — one allocation
-    per ``rank()`` call instead of two per power iteration — and stay
+    per ``rank()`` call instead of two per matvec — and stay
     private to it, so concurrent calls on one sharding remain safe.
     """
     scores = np.empty(sharded.num_users, dtype=float)

@@ -56,7 +56,8 @@ from repro.engine.rankers import ShardKernels
 from repro.exceptions import EngineError, WorkerTimeoutError, WorkerUnavailableError
 from repro.engine.sharding import ShardedResponse
 from repro.linalg.operators import apply_cumulative_into, apply_difference
-from repro.linalg.power_iteration import PowerIterationDriver
+from repro.linalg.power_iteration import PowerIterationResult
+from repro.linalg.spectral import dominant_eigenpair
 from repro.truth_discovery.majority import agreement_counts
 
 #: A buffer reference a worker can resolve: (shared-memory name, shape).
@@ -116,8 +117,8 @@ def _worker_diff_step(state: Dict[str, object]):
     Built lazily from the triples every worker already holds (the pool
     initializer ships them once) plus the per-item option counts, so the
     replica's binary-column layout — and therefore every accumulation
-    order — matches the parent's ``CompiledResponse`` exactly: k driver
-    iterations here are bit-identical to k iterations of the fused kernel.
+    order — matches the parent's ``CompiledResponse`` exactly: a solve here
+    is bit-identical to the same solve on the fused kernel.
     """
     step = state.get("diff_step")
     if step is None:
@@ -235,24 +236,17 @@ def _task_ds_gather(token: str, index: int, num_classes: int,
     gathered[lo:hi, :] = _worker_view(logconf_ref)[keys]
 
 
-def _task_hnd_chunk(
-    token: str,
-    meta: Dict[str, object],
-    arrays: Dict[str, np.ndarray],
-    steps: int,
-) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Advance a serialized power-iteration driver ``steps`` iterations.
+def _task_hnd_solve(token: str, start: np.ndarray, tolerance: float,
+                    max_iterations: int) -> PowerIterationResult:
+    """The whole HnD eigensolve from ``start`` on the worker's full replica.
 
-    Pure state-in/state-out over the worker's full replica (see
-    :func:`_worker_diff_step`): rerunning the same chunk after a worker
-    death or timeout re-produces the same output state, so failover simply
-    re-submits.
+    A pure function of its arguments (see :func:`_worker_diff_step`):
+    rerunning it after a worker death or timeout re-produces the same
+    result, so failover simply re-submits.
     """
-    driver = PowerIterationDriver.from_state(
-        _worker_diff_step(_WORKER_STATE[token]), meta, arrays
-    )
-    driver.advance(steps)
-    return driver.export_state()
+    return dominant_eigenpair(_worker_diff_step(_WORKER_STATE[token]), start,
+                              tolerance=tolerance,
+                              max_iterations=max_iterations)
 
 
 # ----------------------------------------------------------------------- #
@@ -512,23 +506,23 @@ class ProcessEngine(ShardKernels):
 
         return diff_step
 
-    def hnd_chunk_runner(self) -> Callable[[PowerIterationDriver, int], None]:
-        """Batched-iteration dispatch: k driver iterations per pool task.
+    def hnd_solve_runner(self) -> Callable[..., PowerIterationResult]:
+        """Whole-solve dispatch: the HnD eigensolve as one pool task.
 
         The workers hold the full triples anyway (shipped once at pool
-        start-up for shard execution), so a chunk runs on a worker-local
-        replica of the fused kernel — bit-identical to the in-process loop
-        — and the per-task round-trip is paid once per ``k`` iterations
-        instead of twice per matvec.
+        start-up for shard execution), so the solve runs on a worker-local
+        replica of the fused kernel — bit-identical to the in-process
+        solve — and the per-task round-trip is paid once instead of twice
+        per matvec.
         """
 
-        def run_chunk(driver: PowerIterationDriver, steps: int) -> None:
-            meta, arrays = driver.export_state()
-            future = self._submit(_task_hnd_chunk, meta, arrays, steps)
-            new_meta, new_arrays = self._collect([future])[0]
-            driver.restore_state(new_meta, new_arrays)
+        def run_solve(start: np.ndarray, tolerance: float,
+                      max_iterations: int) -> PowerIterationResult:
+            future = self._submit(_task_hnd_solve, start, tolerance,
+                                  max_iterations)
+            return self._collect([future])[0]
 
-        return run_chunk
+        return run_solve
 
     def dawid_skene_accumulators(self, num_classes: int):
         num_items = self.num_items

@@ -4,7 +4,7 @@ The paper's shard-friendly methods (MajorityVote, Dawid–Skene, HnD-Power)
 are implemented **once** here as *runners* — ``rank_majority_vote``,
 ``rank_dawid_skene``, ``rank_hnd_power`` — over a small kernel interface
 (:class:`ShardKernels`).  A runner owns everything that is not a sufficient
-statistic (the power-iteration driver, the EM loop, symmetry breaking), so
+statistic (the HnD eigensolve, the EM loop, symmetry breaking), so
 every backend walks literally the same code path and produces **the same
 scores, bit for bit,** as the single-process rankers (``MajorityVoteRanker``,
 ``DawidSkeneRanker``, ``HNDPower``) at any shard and worker count:
@@ -76,10 +76,10 @@ class ShardKernels:
     #: Reported in result diagnostics (``"threads"`` / ``"serial"`` / ``"processes"``).
     backend: str = "abstract"
 
-    #: Iterations executed per dispatch when the backend provides a chunk
-    #: runner (see :meth:`hnd_chunk_runner`).  Execution-only — every value
-    #: produces the same bits — so it lives on the kernel object, not in
-    #: the registry param spec the rank-cache fingerprints read.
+    #: Above 1, a backend with a solve runner (see :meth:`hnd_solve_runner`)
+    #: runs the whole HnD solve in one dispatch.  Execution-only — every
+    #: value produces the same bits — so it lives on the kernel object, not
+    #: in the registry param spec the rank-cache fingerprints read.
     iteration_batch: int = 1
 
     @property
@@ -123,18 +123,19 @@ class ShardKernels:
     def hnd_difference_step(self) -> Callable[[np.ndarray], np.ndarray]:
         raise NotImplementedError
 
-    def hnd_chunk_runner(self) -> Optional[Callable]:
-        """Batched-iteration dispatch hook: ``runner(driver, k)`` or None.
+    def hnd_solve_runner(self) -> Optional[Callable]:
+        """Whole-solve dispatch hook: ``runner(start, tolerance, budget)``.
 
         A backend that pays a per-dispatch round-trip (processes, remote)
-        returns a callable that advances the given
-        :class:`~repro.linalg.power_iteration.PowerIterationDriver` by
-        ``k`` iterations in one dispatch — shipping the serialized driver
-        state to where the data lives and restoring the advanced state —
-        instead of one task/socket round-trip per matvec.  The driver
-        state is complete, so every batch size produces the same bits as
-        the in-process loop.  Backends whose matvec dispatch is cheap
-        (fused, threads) return None and the loop runs in-process.
+        returns a callable that ships the start vector, tolerance and
+        matvec budget once and runs
+        :func:`~repro.linalg.spectral.dominant_eigenpair` on a full replica
+        where the data lives, returning its
+        :class:`~repro.linalg.power_iteration.PowerIterationResult` —
+        instead of one task/socket round-trip per matvec.  The replica's
+        matvec is bit-identical to the in-process one, so the result is
+        too.  Backends whose matvec dispatch is cheap (fused, threads)
+        return None and the solve runs in-process.
         """
         return None
 
@@ -253,18 +254,18 @@ def rank_hnd_power(
 ) -> AbilityRanking:
     """HnD-Power (Algorithm 1) over shard kernels (bit-identical to ``HNDPower``).
 
-    The power-iteration driver (shared
-    :func:`~repro.core.hitsndiffs.hnd_power_solve`, including the warm-start
-    adaptation and cold-fallback guard), cumulative/difference wrappers, and
-    the decile-entropy symmetry breaking are the single-process code; each
-    iteration's AVGHITS matvec is the shard-parallel sum of per-shard
-    partial products (gather in shards, canonical-order scatter reduce).  A
-    warm start is only a different initial vector, so the bit-identity
-    guarantee across backends holds for warm solves too.
+    The eigensolve (shared :func:`~repro.core.hitsndiffs.hnd_power_solve`,
+    including the warm-start adaptation and cold-fallback guard),
+    cumulative/difference wrappers, and the decile-entropy symmetry
+    breaking are the single-process code; each AVGHITS matvec is the
+    shard-parallel sum of per-shard partial products (gather in shards,
+    canonical-order scatter reduce).  A warm start is only a different
+    start vector, so the bit-identity guarantee across backends holds for
+    warm solves too.
 
-    When the backend offers a chunk runner and ``kernels.iteration_batch``
-    exceeds 1, the iteration loop is dispatched in batches instead of one
-    round-trip per matvec — same bits, fewer sync points.
+    When the backend offers a solve runner and ``kernels.iteration_batch``
+    exceeds 1, the whole solve runs in one dispatch on a worker's replica
+    instead of one round-trip per matvec — same bits, one sync point.
     """
     matrix = kernels.source
     if check_connectivity:
@@ -274,7 +275,7 @@ def rank_hnd_power(
         return AbilityRanking(scores=np.zeros(m), method="HnD",
                               diagnostics=_trivial_diagnostics(init_state))
     iteration_batch = int(getattr(kernels, "iteration_batch", 1) or 1)
-    run_chunk = kernels.hnd_chunk_runner() if iteration_batch > 1 else None
+    run_solve = kernels.hnd_solve_runner() if iteration_batch > 1 else None
     diff_step = kernels.hnd_difference_step()
     result, state, warm_mode = hnd_power_solve(
         diff_step,
@@ -284,8 +285,7 @@ def rank_hnd_power(
         random_state=random_state,
         init_state=init_state,
         acceleration=acceleration,
-        run_chunk=run_chunk,
-        iteration_batch=iteration_batch,
+        run_solve=run_solve,
     )
     scores = apply_cumulative(result.vector)
     diagnostics: Dict[str, object] = {
@@ -295,7 +295,7 @@ def rank_hnd_power(
         "eigenvalue": result.eigenvalue,
         "diff_vector_variance": float(np.var(result.vector)),
         "warm_start": warm_mode,
-        "acceleration": result.acceleration,
+        "solver": "arnoldi",
         "iteration_batch": iteration_batch,
     }
     diagnostics.update(kernels.diagnostics())

@@ -55,6 +55,8 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.linalg.operators import apply_cumulative_into, apply_difference
+from repro.linalg.power_iteration import PowerIterationResult
+from repro.linalg.spectral import dominant_eigenpair
 
 WorkerAddress = Union[str, Tuple[str, int]]
 
@@ -102,10 +104,9 @@ class RemoteEngine(ShardKernels):
         :class:`~repro.exceptions.WorkerUnavailableError` instead —
         for callers that must not absorb remote load.
     iteration_batch:
-        Solver iterations executed per ``hnd_chunk`` dispatch (default 1 —
-        per-op dispatch, the pre-batching behaviour).  Above 1 the HnD
-        power loop ships its serialized driver state and runs ``k``
-        iterations per socket round-trip on a worker-held full replica
+        Default 1: per-op dispatch, one round-trip per shard op.  Above 1
+        the HnD eigensolve ships its start vector once and runs whole, in
+        one ``hnd_solve`` round-trip, on a worker-held full replica
         (shipped once per worker, like shard slices); every value produces
         the same bits.
 
@@ -490,7 +491,7 @@ class RemoteEngine(ShardKernels):
         return diff_step
 
     # ------------------------------------------------------------------ #
-    # Batched-iteration dispatch (full-replica chunks)
+    # Whole-solve dispatch (full replica)
     # ------------------------------------------------------------------ #
     def _replica_payload(self):
         source = self.sharded.source
@@ -519,7 +520,7 @@ class RemoteEngine(ShardKernels):
         """Coordinator-local fused difference step (total-worker-loss path).
 
         The coordinator holds the full source matrix anyway, so the local
-        fallback for a chunk is simply the fused kernel — bit-identical to
+        fallback for a solve is simply the fused kernel — bit-identical to
         the replica the workers run.
         """
         if self._local_diff_step is None:
@@ -528,18 +529,18 @@ class RemoteEngine(ShardKernels):
             self._local_diff_step = fused_step(self.sharded.source)
         return self._local_diff_step
 
-    def hnd_chunk_runner(self) -> Callable:
-        """Batched-iteration dispatch: k driver iterations per round-trip.
+    def hnd_solve_runner(self) -> Callable[..., PowerIterationResult]:
+        """Whole-solve dispatch: the HnD eigensolve in one round-trip.
 
-        A chunk is a pure state-in/state-out function of the immutable
-        replica, so failover is plain retry: if the worker dies mid-chunk
-        the same input state is re-sent to a survivor (or advanced on the
+        A solve is a pure function of its start vector and the immutable
+        replica, so failover is plain retry: if the worker dies mid-solve
+        the same request is re-sent to a survivor (or solved on the
         coordinator's own fused kernel once none remain), producing the
         same bytes the lost worker would have produced.
         """
 
-        def run_chunk(driver, steps: int) -> None:
-            state_meta, state_arrays = driver.export_state()
+        def run_solve(start: np.ndarray, tolerance: float,
+                      max_iterations: int) -> PowerIterationResult:
             while True:
                 target = self._pick_target()
                 if target is None:
@@ -548,28 +549,31 @@ class RemoteEngine(ShardKernels):
                             "all %d remote workers are unavailable and "
                             "local fallback is disabled" % self.num_workers,
                         )
-                    original = driver.matvec
-                    driver.matvec = self._local_hnd_step()
-                    try:
-                        driver.advance(steps)
-                    finally:
-                        driver.matvec = original
-                    return
+                    return dominant_eigenpair(
+                        self._local_hnd_step(), start, tolerance=tolerance,
+                        max_iterations=max_iterations,
+                    )
                 try:
                     self._ensure_replica(target)
-                    reply_meta, reply_arrays = self._clients[target].request(
-                        "hnd_chunk",
-                        {"steps": int(steps), "state": state_meta},
-                        state_arrays,
+                    meta, arrays = self._clients[target].request(
+                        "hnd_solve",
+                        {"tolerance": float(tolerance),
+                         "max_iterations": int(max_iterations)},
+                        {"start": start},
                     )
-                    driver.restore_state(reply_meta["state"], reply_arrays)
-                    return
+                    return PowerIterationResult(
+                        vector=arrays["vector"],
+                        eigenvalue=float(meta["eigenvalue"]),
+                        iterations=int(meta["iterations"]),
+                        converged=bool(meta["converged"]),
+                        residual=float(meta["residual"]),
+                    )
                 except _FAILOVER_ERRORS as err:
                     with self._state_lock:
                         self._replica_on.discard(target)
                     self._handle_worker_failure(target, err)
 
-        return run_chunk
+        return run_solve
 
     def dawid_skene_accumulators(self, num_classes: int):
         num_items = self.num_items

@@ -35,7 +35,8 @@ import scipy.sparse as sp
 from repro.engine.remote import protocol
 from repro.engine.remote.protocol import ConnectionClosed
 from repro.exceptions import ProtocolError
-from repro.linalg.power_iteration import PowerIterationDriver
+from repro.linalg.power_iteration import PowerIterationResult
+from repro.linalg.spectral import dominant_eigenpair
 from repro.truth_discovery.majority import agreement_counts
 
 
@@ -194,7 +195,7 @@ class ShardStore:
         return np.asarray(logconf_slice, dtype=np.float64)[keys]
 
     # ------------------------------------------------------------------ #
-    # Full-replica ops (batched-iteration dispatch)
+    # Full-replica ops (whole-solve dispatch)
     # ------------------------------------------------------------------ #
     def load_replica(
         self,
@@ -207,8 +208,8 @@ class ShardStore:
     ) -> None:
         """Register (idempotently) the full canonical triples.
 
-        Shipped once per worker by the coordinator when batched-iteration
-        dispatch is on; :meth:`hnd_chunk` then advances solver state
+        Shipped once per worker by the coordinator when whole-solve
+        dispatch is on; :meth:`hnd_solve` then runs the HnD eigensolve
         against a locally built replica of the fused kernel.
         """
         replica = {
@@ -243,24 +244,18 @@ class ShardStore:
                 self._replica_step = step
         return step
 
-    def hnd_chunk(
-        self,
-        meta: Dict[str, object],
-        arrays: Dict[str, np.ndarray],
-        steps: int,
-    ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-        """Advance a serialized power-iteration driver ``steps`` iterations.
+    def hnd_solve(self, start: np.ndarray, tolerance: float,
+                  max_iterations: int) -> PowerIterationResult:
+        """The whole HnD eigensolve from ``start`` on the replica.
 
-        Pure state-in/state-out over the replica: identical column layout
-        and accumulation order to the parent's ``CompiledResponse``, so a
-        chunk is bit-identical to the same iterations run anywhere else —
-        and re-running it after a failover produces the same bytes.
+        Identical column layout and accumulation order to the parent's
+        ``CompiledResponse``, so the solve is bit-identical to the same
+        solve run anywhere else — and re-running it after a failover
+        produces the same bytes.
         """
-        driver = PowerIterationDriver.from_state(
-            self._replica_diff_step(), meta, arrays
-        )
-        driver.advance(int(steps))
-        return driver.export_state()
+        return dominant_eigenpair(self._replica_diff_step(), start,
+                                  tolerance=tolerance,
+                                  max_iterations=max_iterations)
 
 
 #: op name -> (store method, meta keys, array keys) — the request surface.
@@ -371,11 +366,16 @@ class WorkerServer:
                 int(meta["num_users"]), int(meta["num_items"]),
             )
             return {}, {}
-        if op == "hnd_chunk":
-            state_meta, state_arrays = self.store.hnd_chunk(
-                meta["state"], arrays, int(meta["steps"])
-            )
-            return {"state": state_meta}, state_arrays
+        if op == "hnd_solve":
+            result = self.store.hnd_solve(arrays["start"],
+                                          float(meta["tolerance"]),
+                                          int(meta["max_iterations"]))
+            return {
+                "eigenvalue": result.eigenvalue,
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "residual": result.residual,
+            }, {"vector": result.vector}
         if op in _KERNEL_OPS:
             method, meta_keys, array_keys = _KERNEL_OPS[op]
             args = [int(meta[key]) for key in meta_keys]

@@ -397,7 +397,7 @@ class ShardedResponse:
         with self._pool_lock:
             if self._pool is None:
                 # One persistent pool per sharding: the iterative rankers
-                # call run() thousands of times (twice per power iteration),
+                # call run() many times (twice per matvec),
                 # so per-call pool construction would dominate the dispatch
                 # cost.  The finalizer tears the threads down when the
                 # sharding is garbage collected.

@@ -6,11 +6,12 @@ algorithms are assembled from:
 * :mod:`repro.linalg.normalize` -- row/column normalization of (sparse)
   response matrices and vector normalization helpers.
 * :mod:`repro.linalg.power_iteration` -- the power method with convergence
-  tracking, used by HND-power and ABH-power.
+  tracking, used by ABH-power and HND-deflation.
 * :mod:`repro.linalg.deflation` -- Hotelling matrix deflation used by the
   HND-deflation variant (Section III-F of the paper).
-* :mod:`repro.linalg.spectral` -- direct eigen-solvers (Arnoldi / Lanczos
-  wrappers) and Fiedler-vector computation used by HND-direct / ABH-direct.
+* :mod:`repro.linalg.spectral` -- eigen-solvers (Arnoldi / Lanczos
+  wrappers) used by HND-power / HND-direct / ABH-direct, and the
+  Fiedler-vector computation.
 * :mod:`repro.linalg.operators` -- the difference (``S``) and cumulative-sum
   (``T``) operators from Figure 3 of the paper, implemented as matrix-free
   callables as well as explicit matrices.
@@ -41,16 +42,8 @@ from repro.linalg.spectral import (
     eigenvector_ordering,
     orderings_equivalent,
 )
-from repro.linalg.lanczos import (
-    fiedler_vector_lanczos,
-    lanczos_eigsh,
-    lanczos_tridiagonalize,
-)
 
 __all__ = [
-    "lanczos_tridiagonalize",
-    "lanczos_eigsh",
-    "fiedler_vector_lanczos",
     "normalize_rows",
     "normalize_columns",
     "l2_normalize",

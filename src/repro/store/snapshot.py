@@ -123,6 +123,9 @@ class SnapshotStore:
         self._index_path = self.root / "index.json"
         self._lock = threading.RLock()
         self._writeback = WriteBehind()
+        # Crowd name -> (newest matrix awaiting its write-behind save,
+        # number of save requests that save will satisfy).
+        self._pending_crowds: Dict[str, Tuple[ResponseMatrix, int]] = {}
         self._tmp_counter = 0
         self.hits = 0
         self.misses = 0
@@ -416,6 +419,30 @@ class SnapshotStore:
             }
             self.crowd_saves += 1
             self._index.save(self._index_path)
+
+    def defer_crowd_save(self, name: str, matrix: ResponseMatrix) -> bool:
+        """Queue a write-behind :meth:`save_crowd`; the latest matrix wins.
+
+        At most one save per crowd name is pending: a newer matrix replaces
+        the pending one, and the queued job saves whatever is newest when
+        it runs.  The job keeps the queue position of the first request,
+        so a crowd save still lands no later than under one job per
+        request, and :meth:`flush` still waits for it.  A crowd only
+        grows, so the newer save covers the replaced requests: they count
+        in ``crowd_saves`` when it lands.
+        """
+        with self._lock:
+            _, requests = self._pending_crowds.get(name, (None, 0))
+            self._pending_crowds[name] = (matrix, requests + 1)
+        return bool(requests) or self.defer(
+            lambda: self._save_pending_crowd(name))
+
+    def _save_pending_crowd(self, name: str) -> None:
+        with self._lock:
+            matrix, requests = self._pending_crowds.pop(name)
+        self.save_crowd(name, matrix)
+        with self._lock:
+            self.crowd_saves += requests - 1
 
     def load_crowd(self, name: str) -> Optional[ResponseMatrix]:
         """Reload a persisted crowd, or ``None`` (absent or corrupt).

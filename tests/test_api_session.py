@@ -238,6 +238,44 @@ class TestServing:
         assert session.stats()["materialized"] is True
 
 
+class TestSupersededEntries:
+    """A session keeps only its newest cached ranking per method+params."""
+
+    def _grow(self, session, user):
+        session.add_answers([user], [0], [0])
+
+    def test_earlier_states_are_dropped(self, triples):
+        session = CrowdSession(num_items=20, num_options=3)
+        session.add_answers(*triples)
+        params = {"random_state": 0}
+        for step in range(4):
+            session.rank("HnD", warm_start=True, **params)
+            session.rank("MajorityVote")
+            self._grow(session, 50 + step)
+        session.rank("HnD", warm_start=True, **params)
+        # One HnD and one MajorityVote entry: the newest of each.
+        assert session.cache.stats()["size"] == 2
+        ranking = session.rank("HnD", warm_start=True, **params)
+        assert session.cache.stats()["hits"] >= 1
+        assert ranking.diagnostics["warm_start"] == "warm"
+
+    def test_other_sessions_entries_survive_on_a_shared_cache(self, triples):
+        shared = RankCache(maxsize=64)
+        first = CrowdSession(num_items=20, num_options=3, cache=shared)
+        second = CrowdSession(num_items=20, num_options=3, cache=shared)
+        first.add_answers(*triples)
+        second.add_answers(*triples)
+        self._grow(second, 50)
+        first.rank("HnD", random_state=0)
+        second.rank("HnD", random_state=0)
+        self._grow(second, 51)
+        second.rank("HnD", random_state=0)
+        # first's entry is not in second's history, so it stays.
+        assert len(shared) == 2
+        assert first.rank("HnD", random_state=0) is not None
+        assert shared.stats()["hits"] == 1
+
+
 class TestConcurrencyContract:
     """PR 8: the session's coarse-lock contract under real thread pressure.
 

@@ -127,12 +127,6 @@ class TestRankCommand:
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
-    def test_rank_accelerated(self, saved_matrix, capsys):
-        exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
-                          "--acceleration", "momentum"])
-        assert exit_code == 0
-        assert "top" in capsys.readouterr().out
-
     def test_rank_batched_processes(self, saved_matrix, capsys):
         exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
                           "--backend", "processes", "--shards", "2",
@@ -183,12 +177,6 @@ class TestRankErrorPaths:
                           "--random-state", "3"])
         assert exit_code == 2
         assert "no random_state parameter" in capsys.readouterr().err
-
-    def test_acceleration_on_unaccelerated_method_rejected(self, capsys):
-        exit_code = main(["rank", "no-such-file.npz", "--method", "GLAD",
-                          "--acceleration", "momentum"])
-        assert exit_code == 2
-        assert "no acceleration parameter" in capsys.readouterr().err
 
     def test_iteration_batch_on_non_power_method_rejected(self, capsys):
         exit_code = main(["rank", "no-such-file.npz", "--method", "Dawid-Skene",

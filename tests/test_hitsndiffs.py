@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.c1p.properties import is_p_matrix
-from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower, hits_n_diffs
+from repro.core.avghits import difference_update_matrix, hnd_difference_step
+from repro.core.hitsndiffs import (
+    HNDDeflation,
+    HNDDirect,
+    HNDPower,
+    hits_n_diffs,
+    hnd_power_solve,
+)
 from repro.core.response import ResponseMatrix
+from repro.core.solver_state import SolverState
 from repro.evaluation.metrics import (
     orientation_agnostic_accuracy,
     spearman_accuracy,
@@ -120,6 +128,98 @@ class TestGeneralInputs:
         response = ResponseMatrix(choices, num_options=2)
         ranking = HNDPower(random_state=0).rank(response)
         assert ranking.num_users == 2
+
+
+def _random_crowd(num_users, num_items, num_options, seed):
+    rng = np.random.default_rng(seed)
+    users = np.repeat(np.arange(num_users), num_items)
+    items = np.tile(np.arange(num_items), num_users)
+    options = rng.integers(0, num_options, size=users.size)
+    return ResponseMatrix.from_triples(users, items, options,
+                                       shape=(num_users, num_items),
+                                       num_options=num_options)
+
+
+class TestArnoldiSolve:
+    """The eigensolve behind HNDPower: implicitly restarted Arnoldi."""
+
+    def test_repeat_runs_are_bit_identical(self):
+        dataset = generate_dataset("grm", 200, 60, 3, random_state=41)
+        first = HNDPower(random_state=3).rank(dataset.response)
+        second = HNDPower(random_state=3).rank(dataset.response)
+        assert np.array_equal(first.scores, second.scores)
+        assert first.diagnostics["iterations"] == second.diagnostics["iterations"]
+        assert first.diagnostics["solver"] == "arnoldi"
+        assert first.diagnostics["converged"]
+
+    def test_residual_is_the_true_eigen_residual(self):
+        response = generate_dataset("grm", 120, 50, 3, random_state=43).response
+        step = hnd_difference_step(response)
+        result, _, _ = hnd_power_solve(step, response.num_users,
+                                       tolerance=1e-10, max_iterations=1000,
+                                       random_state=0)
+        product = step(result.vector)
+        assert result.residual == pytest.approx(
+            np.linalg.norm(product - result.eigenvalue * result.vector))
+        assert result.residual < 1e-8
+
+    @pytest.mark.parametrize("num_users", range(2, 13))
+    def test_dense_path_small_crowds(self, num_users):
+        response = _random_crowd(num_users, 4, 3, seed=num_users)
+        ranking = HNDPower(random_state=0).rank(response)
+        assert ranking.diagnostics["converged"]
+        assert ranking.diagnostics["residual"] < 1e-12
+        # One matvec per operator column plus the residual check.
+        assert ranking.diagnostics["iterations"] == num_users
+        spectrum = np.linalg.eigvals(difference_update_matrix(response))
+        assert abs(ranking.diagnostics["eigenvalue"]) == pytest.approx(
+            np.abs(spectrum).max(), abs=1e-12)
+
+    def test_unanimous_crowd_is_the_zero_operator(self):
+        num_users, num_items = 40, 10
+        users = np.repeat(np.arange(num_users), num_items)
+        items = np.tile(np.arange(num_items), num_users)
+        response = ResponseMatrix.from_triples(
+            users, items, np.zeros(users.size, dtype=np.int64),
+            shape=(num_users, num_items), num_options=3,
+        )
+        ranking = HNDPower(random_state=0).rank(response)
+        # Every vector is an eigenvector of eigenvalue 0.
+        assert ranking.diagnostics["converged"]
+        assert ranking.diagnostics["eigenvalue"] == 0.0
+        assert ranking.diagnostics["residual"] == 0.0
+        assert np.all(np.isfinite(ranking.scores))
+
+    def test_disconnected_crowd(self):
+        num_users, half = 40, 20
+        users = np.repeat(np.arange(num_users), 5)
+        items = np.tile(np.arange(5), num_users) + np.where(users < half, 0, 5)
+        options = np.random.default_rng(0).integers(0, 3, size=users.size)
+        response = ResponseMatrix.from_triples(users, items, options,
+                                               shape=(num_users, 10),
+                                               num_options=3)
+        ranking = HNDPower(random_state=0).rank(response)
+        assert ranking.diagnostics["converged"]
+        assert np.all(np.isfinite(ranking.scores))
+        with pytest.raises(DisconnectedGraphError):
+            HNDPower(check_connectivity=True).rank(response)
+
+    def test_nan_warm_state_falls_back_cold(self):
+        response = generate_dataset("grm", 60, 30, 3, random_state=47).response
+        cold = HNDPower(random_state=0).rank(response)
+        poisoned = SolverState("HnD", {"diff_vector": np.full(59, np.nan)})
+        warm = HNDPower(random_state=0).rank(response, init_state=poisoned)
+        assert warm.diagnostics["warm_start"] == "fallback-cold"
+        assert np.array_equal(warm.scores, cold.scores)
+
+    @pytest.mark.parametrize("max_iterations", [1, 5, 20])
+    def test_exhausted_budget_reports_not_converged(self, max_iterations):
+        response = _random_crowd(300, 20, 4, seed=53)  # pure noise: tiny gap
+        ranking = HNDPower(random_state=0, tolerance=1e-14,
+                           max_iterations=max_iterations).rank(response)
+        assert not ranking.diagnostics["converged"]
+        assert ranking.diagnostics["iterations"] <= max_iterations
+        assert np.all(np.isfinite(ranking.scores))
 
 
 class TestFunctionalEntryPoint:

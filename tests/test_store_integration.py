@@ -182,6 +182,55 @@ class TestSessionPersistence:
         assert store.stats()["crowd_saves"] == 1  # hash-gated write-behind
 
 
+    @staticmethod
+    def _count_writes(store):
+        writes = []
+        save = store.save_crowd
+
+        def counted(name, matrix):
+            writes.append(matrix)
+            save(name, matrix)
+
+        store.save_crowd = counted
+        return writes
+
+    def test_pending_crowd_save_is_latest_wins(self, tmp_path):
+        """N ranks behind a busy writer queue one crowd save, which writes
+        the newest matrix and accounts for every request."""
+        store = SnapshotStore(tmp_path)
+        writes = self._count_writes(store)
+        session = CrowdSession(num_items=20, num_options=3, store=store,
+                               name="quiz")
+        fill_session(session)
+        gate = threading.Event()
+        store.defer(gate.wait)  # hold the write-behind thread
+        for user in range(6):
+            session.add_answers([30 + user], [0], [1])
+            session.rank("MajorityVote")
+        last = session.matrix
+        gate.set()
+        assert store.flush(timeout=30)
+        assert writes == [last]
+        assert store.stats()["crowd_saves"] == 6
+        assert store.load_crowd("quiz").content_hash() == last.content_hash()
+
+    def test_every_crowd_save_request_lands(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        writes = self._count_writes(store)
+        session = CrowdSession(num_items=20, num_options=3, store=store,
+                               name="quiz")
+        fill_session(session)
+        session.rank("MajorityVote")
+        for user in range(5):
+            session.add_answers([30 + user], [0], [1])
+            session.rank("MajorityVote")
+        assert store.flush(timeout=30)
+        assert 1 <= len(writes) <= 6
+        assert store.stats()["crowd_saves"] == 6
+        loaded = store.load_crowd("quiz")
+        assert loaded.content_hash() == session.matrix.content_hash()
+
+
 # --------------------------------------------------------------------------- #
 # SessionManager + store
 # --------------------------------------------------------------------------- #
