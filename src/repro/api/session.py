@@ -5,11 +5,14 @@ hand — a :class:`~repro.core.response.ResponseBuilder` accumulating answer
 triples, the materialized :class:`~repro.core.response.ResponseMatrix`, and
 a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 
-* :meth:`add_answers` appends in ``O(batch)``; the matrix is re-materialized
-  lazily, on the next read, through the canonical ``from_triples``
-  validation (so a chunked session equals — and hash-equals — a one-shot
-  build of the same answers).  Exact repeats are collapsed at
-  materialization, so replaying an ingestion batch is idempotent;
+* :meth:`add_answers` appends in ``O(batch)``; the matrix is
+  re-materialized lazily, on the next read, by merging only the answers
+  appended since the previous build into its canonical triples
+  (:meth:`ResponseBuilder.build`: ``O(b log b)`` for ``b`` new answers plus
+  one ``O(nnz)`` copy, never a re-sort of the whole crowd).
+  A chunked session equals — and hash-equals — a one-shot
+  ``from_triples`` build of the same answers.  Exact repeats are collapsed
+  at materialization, so replaying an ingestion batch is idempotent;
   *conflicting* repeats (one user giving two different options for one
   item) raise at the next :attr:`matrix` access.
 * staleness is **content-hash based**: the cache keys on
@@ -59,8 +62,9 @@ class CrowdSession:
     :meth:`rank`, :meth:`top_k`, the :attr:`matrix` /
     :meth:`content_hash` reads) holds one internal :class:`threading.RLock`
     for its whole duration, so the two stateful races — the lazy
-    :attr:`matrix` rebuild (two readers must not both materialize, and an
-    append must not invalidate a half-built matrix) and the warm-start
+    :attr:`matrix` merge (two readers must not both merge the same pending
+    answers, and an append must not land in a half-merged matrix) and the
+    warm-start
     lineage lookup (``_ranked_hashes`` is read by :meth:`rank` and written
     after it) — cannot interleave.  The size counters
     (:attr:`num_answers` / :attr:`num_users`) and :meth:`stats` are
@@ -243,9 +247,10 @@ class CrowdSession:
 
     @property
     def matrix(self) -> ResponseMatrix:
-        """The current crowd, materialized through ``from_triples``.
+        """The current crowd as a canonical :class:`ResponseMatrix`.
 
-        Rebuilt only when answers arrived since the last build; a chunked
+        Rebuilt only when answers arrived since the last build, by merging
+        just those answers into the previous build's triples; a chunked
         ingestion history materializes equal (and hash-equal) to a one-shot
         ``from_triples`` of the same answers.  Exact repeated triples
         (replayed ingestion batches) are collapsed, so replays are

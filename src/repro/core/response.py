@@ -39,7 +39,8 @@ Construction paths
 * :meth:`ResponseMatrix.from_binary` — one-hot ingestion (dense or sparse),
   routed through :meth:`from_triples`.
 * :class:`ResponseBuilder` — incremental ingestion: append answer batches
-  or whole users, then :meth:`ResponseBuilder.build`.
+  or whole users, then :meth:`ResponseBuilder.build`, which merges only the
+  answers appended since its previous build into that build's triples.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
   sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.
@@ -347,6 +348,127 @@ def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _shape_pair(shape) -> Tuple[int, int]:
+    """Validate a ``(num_users, num_items)`` shape for canonical triples.
+
+    Besides positivity this enforces ``num_users * num_items <= 2**63``:
+    the canonical sort key ``user * num_items + item`` (see
+    :func:`_canonical_sort`) must fit in ``int64``, or it silently wraps —
+    two distinct pairs then collide as a false duplicate, or sort out of
+    canonical order.
+    """
+    try:
+        m, n = (int(value) for value in shape)
+    except (TypeError, ValueError):
+        raise InvalidResponseMatrixError(
+            "shape must be a (num_users, num_items) pair, got %r" % (shape,)
+        )
+    if m <= 0 or n <= 0:
+        raise InvalidResponseMatrixError(
+            "shape must be positive, got (%d, %d)" % (m, n)
+        )
+    if m * n - 1 > np.iinfo(np.int64).max:
+        raise InvalidResponseMatrixError(
+            "shape (%d, %d) is too large: num_users * num_items must be at "
+            "most 2**63 so that user * num_items + item fits in int64" % (m, n)
+        )
+    return m, n
+
+
+def _canonical_keys(users, items, num_items: int):
+    """The canonical ``int64`` sort key ``user * num_items + item``.
+
+    Callers guarantee it fits: every shape passes :func:`_shape_pair`.
+    """
+    return users * np.int64(num_items) + items
+
+
+def _canonical_sort(users, items, options, num_items: int):
+    """Sort answer triples into canonical user-major ``(user, item)`` order.
+
+    Returns ``(keys, users, items, options)`` with the :func:`_canonical_keys`
+    alongside: one stable argsort of a single key instead of a two-pass
+    ``lexsort((items, users))``, with the same permutation (equal keys,
+    i.e. repeats of one pair, keep input order).  Already-sorted input is
+    returned as is.
+    """
+    keys = _canonical_keys(users, items, num_items)
+    if np.any(keys[1:] < keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys, users, items, options = (
+            keys[order], users[order], items[order], options[order]
+        )
+    return keys, users, items, options
+
+
+def _check_answer_ranges(users, items, options, m: int, n: int) -> None:
+    """Raise unless every answer's user, item and option index is in range."""
+    if users.size == 0:
+        return
+    if users.min() < 0 or users.max() >= m:
+        bad = int(users[np.argmax((users < 0) | (users >= m))])
+        raise InvalidResponseMatrixError(
+            "user index %d is outside [0, %d)" % (bad, m)
+        )
+    if items.min() < 0 or items.max() >= n:
+        bad = int(items[np.argmax((items < 0) | (items >= n))])
+        raise InvalidResponseMatrixError(
+            "item index %d is outside [0, %d)" % (bad, n)
+        )
+    if options.min() < 0:
+        raise InvalidResponseMatrixError(
+            "options must be >= 0 (use absence from the triples, not %d, "
+            "for unanswered items)" % int(options.min())
+        )
+
+
+def _option_ceiling(items, options, base: Optional[np.ndarray] = None) -> np.ndarray:
+    """``max(option) + 1`` per item over ``base`` and the given answers.
+
+    A new array, as long as ``base`` or the largest answered item + 1,
+    whichever is longer; items with no answers hold 1.  Validated answers
+    only (non-negative items and options).
+    """
+    base = np.empty(0, dtype=np.int64) if base is None else base
+    size = max(base.size, int(items.max()) + 1) if items.size else base.size
+    ceiling = np.ones(size, dtype=np.int64)
+    ceiling[:base.size] = base
+    np.maximum.at(ceiling, items, options + 1)
+    return ceiling
+
+
+def _per_item_options(ceiling: np.ndarray, num_options, n: int) -> np.ndarray:
+    """Per-item option counts for ``n`` items whose answers reach ``ceiling``.
+
+    ``num_options=None`` infers ``max(option) + 1`` (at least 2) per item,
+    like the dense constructor; a scalar or sequence is resolved and
+    checked against the ceiling (``ceiling.size <= n``) in ``O(n)``.
+    """
+    if num_options is None:
+        per_item = np.full(n, 2, dtype=np.int64)
+        head = per_item[:ceiling.size]
+        np.maximum(head, ceiling, out=head)
+        return per_item
+    per_item = _resolve_num_options(num_options, n)
+    exceeded = np.flatnonzero(ceiling > per_item[:ceiling.size])
+    if exceeded.size:
+        bad = int(exceeded[0])
+        raise InvalidResponseMatrixError(
+            "item %d has a choice index >= its number of options (%d)"
+            % (bad, per_item[bad])
+        )
+    return per_item
+
+
+def _raise_duplicate(key: int, num_items: int) -> None:
+    """Report the ``(user, item)`` pair behind a repeated canonical key."""
+    user, item = divmod(key, num_items)
+    raise InvalidResponseMatrixError(
+        "duplicate answer: user %d answered item %d more than once "
+        "(a user may choose at most one option per item)" % (user, item)
+    )
+
+
 class ResponseMatrix:
     """User responses to heterogeneous multiple-choice items.
 
@@ -527,18 +649,11 @@ class ResponseMatrix:
         ------
         InvalidResponseMatrixError
             On empty input, out-of-range indices, options outside an item's
-            declared range, or a duplicate ``(user, item)`` pair.
+            declared range, a duplicate ``(user, item)`` pair, or a shape
+            whose ``num_users * num_items`` exceeds ``2**63`` (the canonical
+            ``int64`` sort key would wrap).
         """
-        try:
-            m, n = (int(value) for value in shape)
-        except (TypeError, ValueError):
-            raise InvalidResponseMatrixError(
-                "shape must be a (num_users, num_items) pair, got %r" % (shape,)
-            )
-        if m <= 0 or n <= 0:
-            raise InvalidResponseMatrixError(
-                "shape must be positive, got (%d, %d)" % (m, n)
-            )
+        m, n = _shape_pair(shape)
         users = _as_index_array(users, "users")
         items = _as_index_array(items, "items")
         options = _as_index_array(options, "options")
@@ -551,56 +666,16 @@ class ResponseMatrix:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
-        if users.min() < 0 or users.max() >= m:
-            bad = int(users[np.argmax((users < 0) | (users >= m))])
-            raise InvalidResponseMatrixError(
-                "user index %d is outside [0, %d)" % (bad, m)
-            )
-        if items.min() < 0 or items.max() >= n:
-            bad = int(items[np.argmax((items < 0) | (items >= n))])
-            raise InvalidResponseMatrixError(
-                "item index %d is outside [0, %d)" % (bad, n)
-            )
-        if options.min() < 0:
-            raise InvalidResponseMatrixError(
-                "options must be >= 0 (use absence from the triples, not %d, "
-                "for unanswered items)" % int(options.min())
-            )
-
-        if num_options is None:
-            # Per-item max option + 1 (at least 2), matching the dense
-            # constructor's inference, via an O(nnz) scatter-max.
-            per_item = np.ones(n, dtype=np.int64)
-            np.maximum.at(per_item, items, options + 1)
-            per_item = np.maximum(per_item, 2)
-        else:
-            per_item = _resolve_num_options(num_options, n)
-        out_of_range = options >= per_item[items]
-        if np.any(out_of_range):
-            bad = int(items[np.argmax(out_of_range)])
-            raise InvalidResponseMatrixError(
-                "item %d has a choice index >= its number of options (%d)"
-                % (bad, per_item[bad])
-            )
+        _check_answer_ranges(users, items, options, m, n)
+        per_item = _per_item_options(_option_ceiling(items, options), num_options, n)
 
         # Canonical ordering + duplicate detection share one key array.
         # Already-sorted input (the save/load round-trip, from_binary) takes
         # the O(nnz) fast path with no argsort.
-        keys = users * np.int64(n) + items
-        deltas = np.diff(keys)
-        if np.any(deltas <= 0):
-            if np.any(deltas < 0):
-                order = np.argsort(keys, kind="stable")
-                users, items, options = users[order], items[order], options[order]
-                keys = keys[order]
-            duplicates = np.flatnonzero(keys[1:] == keys[:-1])
-            if duplicates.size:
-                first = int(duplicates[0]) + 1
-                raise InvalidResponseMatrixError(
-                    "duplicate answer: user %d answered item %d more than once "
-                    "(a user may choose at most one option per item)"
-                    % (int(users[first]), int(items[first]))
-                )
+        keys, users, items, options = _canonical_sort(users, items, options, n)
+        duplicates = np.flatnonzero(keys[1:] == keys[:-1])
+        if duplicates.size:
+            _raise_duplicate(int(keys[duplicates[0]]), n)
         return cls._from_canonical(users, items, options, m, n, per_item)
 
     @classmethod
@@ -975,11 +1050,11 @@ class ResponseMatrix:
             raise ValueError("order must be a permutation of range(num_users)")
         inverse = np.empty(self._m, dtype=np.int64)
         inverse[order] = np.arange(self._m)
-        new_users = inverse[self._users]
-        resort = np.lexsort((self._items, new_users))
+        _, users, items, options = _canonical_sort(
+            inverse[self._users], self._items, self._options, self._n
+        )
         return ResponseMatrix._from_canonical(
-            new_users[resort], self._items[resort], self._options[resort],
-            self._m, self._n, self._num_options,
+            users, items, options, self._m, self._n, self._num_options
         )
 
     def subset_users(self, indices: Sequence[int]) -> "ResponseMatrix":
@@ -1015,12 +1090,13 @@ class ResponseMatrix:
         new_items = np.repeat(
             np.arange(indices.size, dtype=np.int64), counts
         )
-        users = self._users[positions]
-        options = self._options[positions]
-        resort = np.lexsort((new_items, users))
+        _, users, items, options = _canonical_sort(
+            self._users[positions], new_items, self._options[positions],
+            indices.size,
+        )
         return ResponseMatrix._from_canonical(
-            users[resort], new_items[resort], options[resort],
-            self._m, indices.size, self._num_options[indices],
+            users, items, options, self._m, indices.size,
+            self._num_options[indices],
         )
 
     @staticmethod
@@ -1226,8 +1302,21 @@ class ResponseBuilder:
     The streaming counterpart of :meth:`ResponseMatrix.from_triples` — feed
     it answer batches as they arrive (e.g. from a log stream or a chunked
     file) and it accumulates the flat triples without ever holding dense
-    state.  Appends are ``O(batch)``; :meth:`build` concatenates once and
-    runs the full :meth:`~ResponseMatrix.from_triples` validation.
+    state.  Appends are ``O(batch)``.
+
+    Builds are **incremental merges**.  The builder keeps the canonical
+    triples of its last successful build (the very read-only arrays that
+    matrix holds, not a copy) plus the per-item option ceiling over them;
+    answers appended since stay pending.  :meth:`build` sorts, validates
+    and deduplicates only the pending answers, finds their repeats of and
+    conflicts with the settled answers at their ``searchsorted`` insertion
+    points, and merges them in with one ``np.insert`` — ``O(b log b)`` for
+    ``b`` pending answers plus one ``O(nnz)`` copy, instead of re-sorting
+    the whole crowd.  The first build is the same merge into an empty
+    state.  The result is identical (equal triples, equal
+    :meth:`~ResponseMatrix.content_hash`) to a one-shot ``from_triples`` of
+    every answer appended so far, and a build that raises leaves the
+    builder unchanged, so it raises again on the next call.
 
     Parameters
     ----------
@@ -1235,13 +1324,13 @@ class ResponseBuilder:
         Fixed item count, when known up front.  Otherwise inferred as
         ``max(item) + 1`` over everything appended.
     num_options:
-        Scalar or per-item option counts forwarded to ``from_triples``
+        Scalar or per-item option counts, as for ``from_triples``
         (inferred from the data when omitted).
 
     Examples
     --------
     >>> builder = ResponseBuilder(num_items=3, num_options=4)
-    >>> builder.add_answers([0, 0], [0, 2], [1, 3])   # batch of answers
+    >>> _ = builder.add_answers([0, 0], [0, 2], [1, 3])   # batch of answers
     >>> uid = builder.add_user([0, 1, 2], [2, 2, 0])  # whole new user row
     >>> matrix = builder.build()
     >>> matrix.num_users, matrix.num_items
@@ -1260,6 +1349,16 @@ class ResponseBuilder:
         self._option_chunks: List[np.ndarray] = []
         self._num_users = 0
         self._num_answers = 0
+        # Settled state: canonical triples of the last successful build,
+        # ``max(option) + 1`` per item over them, and the smallest (user,
+        # item) pair a deduplicating build collapsed (a later build with
+        # ``deduplicate=False`` must still reject that repeat).
+        empty = _read_only(np.empty(0, dtype=np.int64))
+        self._settled: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
+            empty, empty, empty
+        )
+        self._ceiling = empty
+        self._collapsed: Optional[Tuple[int, int]] = None
 
     @property
     def num_users(self) -> int:
@@ -1319,50 +1418,97 @@ class ResponseBuilder:
         num_options: Optional[Sequence[int] | int] = None,
         deduplicate: bool = False,
     ) -> "ResponseMatrix":
-        """Validate the accumulated triples and build a :class:`ResponseMatrix`.
+        """Merge the pending answers in and build a :class:`ResponseMatrix`.
 
         The explicit ``num_users`` / ``num_items`` / ``num_options``
         arguments override what the builder saw or was configured with
-        (e.g. to declare trailing users nobody has answered for yet).
+        (e.g. to declare trailing users nobody has answered for yet); the
+        settled answers are re-checked against them in ``O(n)``.
 
         ``deduplicate=True`` collapses *exact* repeated triples (the same
-        user restating the same option for the same item) before
-        validation, making replayed ingestion batches idempotent.
-        Conflicting repeats — the same ``(user, item)`` with a different
-        option — still raise, because they contradict each other.
+        user restating the same option for the same item), making replayed
+        ingestion batches idempotent.  Conflicting repeats — the same
+        ``(user, item)`` with a different option — still raise, because
+        they contradict each other.
         """
         if self._num_answers == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
-        users = np.concatenate(self._user_chunks)
-        items = np.concatenate(self._item_chunks)
-        options = np.concatenate(self._option_chunks)
-        if deduplicate:
-            # Sort by (user, item, option) and drop exact repeats; the
-            # result is user-major sorted, so from_triples takes the
-            # O(nnz) fast path, and any *conflicting* duplicate (user,
-            # item) pairs are adjacent for its duplicate check.
-            order = np.lexsort((options, items, users))
-            users, items, options = users[order], items[order], options[order]
-            repeat = (
-                (users[1:] == users[:-1])
-                & (items[1:] == items[:-1])
-                & (options[1:] == options[:-1])
-            )
-            keep = np.concatenate([[True], ~repeat])
-            users, items, options = users[keep], items[keep], options[keep]
+        settled_users, settled_items, settled_options = self._settled
+        users, items, options = (
+            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+            for chunks in (self._user_chunks, self._item_chunks, self._option_chunks)
+        )
         m = self._num_users if num_users is None else int(num_users)
         if num_items is not None:
             n = int(num_items)
         elif self._num_items is not None:
             n = self._num_items
         else:
-            n = int(items.max()) + 1
-        per_item = num_options if num_options is not None else self._num_options
-        return ResponseMatrix.from_triples(
-            users, items, options, shape=(m, n), num_options=per_item
+            n = max(self._ceiling.size, int(items.max()) + 1 if items.size else 0)
+        m, n = _shape_pair((m, n))
+        if settled_users.size and settled_users[-1] >= m:
+            raise InvalidResponseMatrixError(
+                "user index %d is outside [0, %d)" % (settled_users[-1], m)
+            )
+        if self._ceiling.size > n:
+            raise InvalidResponseMatrixError(
+                "item index %d is outside [0, %d)" % (self._ceiling.size - 1, n)
+            )
+        _check_answer_ranges(users, items, options, m, n)
+        ceiling = _option_ceiling(items, options, self._ceiling)
+        per_item = _per_item_options(
+            ceiling, self._num_options if num_options is None else num_options, n
         )
+
+        keys, users, items, options = _canonical_sort(users, items, options, n)
+        collapsed = [] if self._collapsed is None else [
+            _canonical_keys(*self._collapsed, n)
+        ]
+        if deduplicate:
+            keep = np.ones(keys.size, dtype=bool)
+            keep[1:] = (keys[1:] != keys[:-1]) | (options[1:] != options[:-1])
+            collapsed.extend(keys[~keep][:1])
+            keys, users, items, options = (
+                keys[keep], users[keep], items[keep], options[keep]
+            )
+        settled_keys = _canonical_keys(settled_users, settled_items, n)
+        positions = np.searchsorted(settled_keys, keys)
+        found = np.zeros(keys.size, dtype=bool)
+        inside = positions < settled_keys.size
+        found[inside] = settled_keys[positions[inside]] == keys[inside]
+        if deduplicate:
+            keep = ~found
+            keep[found] = settled_options[positions[found]] != options[found]
+            collapsed.extend(keys[~keep][:1])
+            keys, users, items, options, positions, found = (
+                keys[keep], users[keep], items[keep], options[keep],
+                positions[keep], found[keep],
+            )
+        # Any repeat left is a duplicate answer; so is one a deduplicating
+        # build collapsed earlier, unless this build deduplicates too.
+        clashes = [keys[1:][keys[1:] == keys[:-1]], keys[found]]
+        if not deduplicate:
+            clashes.append(np.asarray(collapsed, dtype=np.int64))
+        clashes = np.concatenate(clashes)
+        if clashes.size:
+            _raise_duplicate(int(clashes.min()), n)
+
+        if keys.size:
+            merged = tuple(
+                np.insert(settled, positions, pending)
+                for settled, pending in zip(self._settled, (users, items, options))
+            )
+        else:
+            merged = self._settled
+        matrix = ResponseMatrix._from_canonical(*merged, m, n, per_item)
+        self._settled = matrix.triples
+        self._ceiling = ceiling
+        if collapsed:
+            self._collapsed = divmod(int(min(collapsed)), n)
+        self._user_chunks, self._item_chunks, self._option_chunks = [], [], []
+        return matrix
 
 
 def score_against_truth(response: ResponseMatrix, correct_options: Sequence[int]) -> np.ndarray:

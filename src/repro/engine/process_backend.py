@@ -417,7 +417,11 @@ class ProcessEngine(ShardKernels):
         """Submit one task to the pool (raises if the engine is closed)."""
         if self._pool is None:
             raise EngineError("ProcessEngine is closed")
-        return self._pool.submit(task, self._token, *args)
+        try:
+            return self._pool.submit(task, self._token, *args)
+        except BrokenProcessPool as err:
+            # The pool may notice a dead worker before any result is read.
+            raise self._worker_died() from err
 
     def _collect(self, futures: List) -> List[object]:
         """Await futures, converting pool failures to engine exceptions."""
@@ -435,11 +439,15 @@ class ProcessEngine(ShardKernels):
                 timeout=self.task_timeout,
             ) from err
         except BrokenProcessPool as err:
-            self._abort()
-            raise WorkerUnavailableError(
-                "a pool worker died mid-task (killed or crashed); the "
-                "worker pool was aborted and this engine is now closed"
-            ) from err
+            raise self._worker_died() from err
+
+    def _worker_died(self) -> WorkerUnavailableError:
+        """Abort the broken pool; the typed error for its dead worker."""
+        self._abort()
+        return WorkerUnavailableError(
+            "a pool worker died mid-task (killed or crashed); the "
+            "worker pool was aborted and this engine is now closed"
+        )
 
     def _map(self, task: Callable, *args) -> List[object]:
         """Run ``task(token, shard_index, *args)`` for every shard; shard order."""

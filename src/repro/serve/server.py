@@ -12,7 +12,9 @@ list append under a thread lock) and are acknowledged immediately; the
 *next solve* flushes the buffer into the session's
 :class:`~repro.core.response.ResponseBuilder` before ranking, so a burst
 of appends between two ranks costs one matrix re-materialization, not one
-per batch.  Consistency: a rank admitted after an append was acknowledged
+per batch.  That materialization merges only the flushed answers into the
+crowd's canonical triples (``O(b log b)`` plus one ``O(nnz)`` copy, no
+re-sort of the whole crowd), then re-hashes the new triples.  Consistency: a rank admitted after an append was acknowledged
 always observes that append (the flush drains everything buffered before
 the solve starts).
 

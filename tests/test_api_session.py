@@ -127,37 +127,80 @@ class TestIngestion:
         with pytest.raises(InvalidResponseMatrixError, match="no answers"):
             CrowdSession().matrix
 
+    def test_conflict_after_materialization_keeps_last_good_matrix(
+        self, triples, one_shot
+    ):
+        """A conflict with an already-merged answer raises on every read."""
+        users, items, options = triples
+        session = CrowdSession(num_items=20, num_options=3, num_users=50)
+        session.add_answers(users, items, options)
+        good = session.matrix
+        session.add_answers([users[0]], [items[0]], [(options[0] + 1) % 3])
+        for _ in range(2):
+            with pytest.raises(InvalidResponseMatrixError, match="more than once"):
+                session.matrix
+            assert session.num_answers == users.size + 1
+        assert good == one_shot
+        assert good.content_hash() == one_shot.content_hash()
+
     @given(
         num_users=st.integers(min_value=1, max_value=25),
         num_items=st.integers(min_value=1, max_value=8),
         chunk=st.integers(min_value=1, max_value=40),
         density=st.floats(min_value=0.2, max_value=1.0),
         seed=st.integers(min_value=0, max_value=300),
+        declared=st.booleans(),
+        replays=st.booleans(),
+        blank_rows=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_chunk_splits_equal_one_shot(
-        self, num_users, num_items, chunk, density, seed
+        self, num_users, num_items, chunk, density, seed, declared, replays,
+        blank_rows,
     ):
-        """add_answers in any chunking == from_triples (equal and hash-equal)."""
+        """Every read of a chunked session == from_triples of its prefix.
+
+        Reading :attr:`matrix` after each chunk makes every build a merge
+        into the previous one.  Optional twists: replayed (exact repeat)
+        answers, an undeclared shape that grows between builds, and
+        ``add_user`` rows with no answers.
+        """
         users, items, options = _random_triples(
             num_users, num_items, 3, density, seed
         )
-        reference = ResponseMatrix.from_triples(
-            users, items, options,
-            shape=(num_users, num_items), num_options=3,
-        )
-        session = CrowdSession(
-            num_items=num_items, num_options=3, num_users=num_users
-        )
-        for start in range(0, users.size, chunk):
-            session.add_answers(
-                users[start:start + chunk],
-                items[start:start + chunk],
-                options[start:start + chunk],
+        rng = np.random.default_rng(seed)
+        if declared:
+            session = CrowdSession(
+                num_items=num_items, num_options=3, num_users=num_users
             )
-        assert session.matrix == reference
-        assert hash(session.matrix) == hash(reference)
-        assert session.content_hash() == reference.content_hash()
+        else:
+            session = CrowdSession()
+        rows = 0
+        for start in range(0, users.size, chunk):
+            end = min(start + chunk, users.size)
+            batch = [column[start:end] for column in (users, items, options)]
+            if replays and start:
+                earlier = rng.integers(0, start, size=3)
+                batch = [
+                    np.concatenate([part, column[earlier]])
+                    for part, column in zip(batch, (users, items, options))
+                ]
+            session.add_answers(*batch)
+            rows = max(rows, int(batch[0].max()) + 1)
+            if blank_rows and rng.random() < 0.5:
+                assert session.add_user([], []) == rows
+                rows += 1
+            reference = ResponseMatrix.from_triples(
+                users[:end], items[:end], options[:end],
+                shape=(
+                    max(rows, num_users) if declared else rows,
+                    num_items if declared else int(items[:end].max()) + 1,
+                ),
+                num_options=3 if declared else None,
+            )
+            assert session.matrix == reference
+            assert hash(session.matrix) == hash(reference)
+            assert session.content_hash() == reference.content_hash()
 
 
 class TestServing:

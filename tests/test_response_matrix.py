@@ -63,6 +63,39 @@ class TestConstruction:
         assert response.num_options[1] == 3
 
 
+class TestCanonicalKeyRange:
+    """``from_triples`` sorts and deduplicates on ``user * num_items + item``.
+
+    That key must fit in int64; shapes where it would wrap are rejected
+    with a typed error instead of silently mis-sorting.
+    """
+
+    def test_wrapping_shape_cannot_fake_a_duplicate(self):
+        # (2**61 + 5) * 8 wraps to 5 * 8: without the guard these two
+        # distinct users collide as a "duplicate answer".
+        with pytest.raises(InvalidResponseMatrixError, match="too large"):
+            ResponseMatrix.from_triples(
+                [5, 2**61 + 5], [3, 3], [0, 1], shape=(2**62, 8)
+            )
+
+    def test_wrapping_shape_cannot_accept_non_canonical_order(self):
+        # 2**61 * 8 wraps to 0, below 5 * 8: without the guard these
+        # triples are taken as already sorted and stored out of order.
+        with pytest.raises(InvalidResponseMatrixError, match="too large"):
+            ResponseMatrix.from_triples(
+                [2**61, 5], [0, 0], [0, 1], shape=(2**62, 8)
+            )
+
+    def test_largest_fitting_shape_sorts_canonically(self):
+        # num_users * num_items == 2**63: the largest key is 2**63 - 1.
+        matrix = ResponseMatrix.from_triples(
+            [2**62 - 1, 5], [1, 0], [1, 0], shape=(2**62, 2)
+        )
+        users, items, _ = matrix.triples
+        np.testing.assert_array_equal(users, [5, 2**62 - 1])
+        np.testing.assert_array_equal(items, [0, 1])
+
+
 class TestBinaryRepresentation:
     def test_binary_matches_paper_example(self, paper_example_response):
         binary = paper_example_response.binary_dense
@@ -149,6 +182,35 @@ class TestStatisticsAndTransforms:
     def test_permute_users_requires_permutation(self, paper_example_response):
         with pytest.raises(ValueError):
             paper_example_response.permute_users([0, 0, 1, 2])
+
+    @given(seed=st.integers(min_value=0, max_value=200))
+    @settings(max_examples=25, deadline=None)
+    def test_transforms_keep_canonical_lexsort_order(self, seed):
+        """permute_users / subset_items equal a two-key lexsort re-sort."""
+        rng = np.random.default_rng(seed)
+        choices = rng.integers(-1, 3, size=(9, 6))
+        choices[0, 0] = 0
+        response = ResponseMatrix(choices, num_options=3)
+        users, items, options = response.triples
+
+        order = rng.permutation(9)
+        inverse = np.argsort(order)
+        expected = np.lexsort((items, inverse[users]))
+        permuted = response.permute_users(order).triples
+        for got, want in zip(permuted, (inverse[users], items, options)):
+            np.testing.assert_array_equal(got, want[expected])
+
+        keep = rng.choice(6, size=4, replace=False)
+        chosen = np.isin(items, keep)
+        new_index = np.full(6, -1)
+        new_index[keep] = np.arange(keep.size)
+        new_items = new_index[items[chosen]]
+        expected = np.lexsort((new_items, users[chosen]))
+        subset = response.subset_items(keep).triples
+        for got, want in zip(
+            subset, (users[chosen], new_items, options[chosen])
+        ):
+            np.testing.assert_array_equal(got, want[expected])
 
     def test_subset_users_and_items(self, paper_example_response):
         subset = paper_example_response.subset_users([0, 1]).subset_items([1, 2])

@@ -237,6 +237,20 @@ class TestResponseBuilder:
         with pytest.raises(InvalidResponseMatrixError, match="more than once"):
             builder.build()
 
+    def test_override_violated_by_settled_answers_raises(self):
+        """Overrides are re-checked against answers merged by earlier builds."""
+        builder = ResponseBuilder()
+        builder.add_answers([0, 2], [3, 1], [2, 0])
+        first = builder.build()
+        assert (first.num_users, first.num_items) == (3, 4)
+        with pytest.raises(InvalidResponseMatrixError, match="item index 3"):
+            builder.build(num_items=2)
+        with pytest.raises(InvalidResponseMatrixError, match="user index 2"):
+            builder.build(num_users=2)
+        with pytest.raises(InvalidResponseMatrixError, match="number of options"):
+            builder.build(num_options=2)
+        assert builder.build() == first
+
     def test_empty_builder_rejected(self):
         with pytest.raises(InvalidResponseMatrixError, match="no answers"):
             ResponseBuilder(num_items=2).build()
