@@ -210,6 +210,7 @@ class HNDPower(AbilityRanker):
             "diff_vector_variance": float(np.var(result.vector)),
             "warm_start": warm_mode,
             "solver": "arnoldi",
+            "blas_threads": result.blas_threads,
         }
         if self.break_symmetry:
             scores, symmetry_diag = orient_scores(response, scores)

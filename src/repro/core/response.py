@@ -56,7 +56,7 @@ import hashlib
 import re
 import threading
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -745,17 +745,19 @@ class ResponseMatrix:
     # ------------------------------------------------------------------ #
     # Serialization (canonical triples; reload skips the re-sort)
     # ------------------------------------------------------------------ #
-    def save(self, path: Union[str, Path]) -> None:
+    def save(self, path: Union[str, Path, BinaryIO]) -> None:
         """Write the canonical triples to ``path`` (``.npz`` or ``.csv``).
 
         NPZ is the compact binary format for large matrices; CSV is the
         interchange format (one ``user,item,option`` row per answer, with
         the shape and per-item option counts on a header comment line).
         Both store the triples in canonical order, so :meth:`load` takes
-        the sorted ``O(nnz)`` validation fast path — no re-sort.
+        the sorted ``O(nnz)`` validation fast path — no re-sort.  An open
+        binary file is written as NPZ, so a caller can fsync it.
         """
-        path = Path(path)
-        if path.suffix == ".npz":
+        if not hasattr(path, "write"):
+            path = Path(path)
+        if hasattr(path, "write") or path.suffix == ".npz":
             np.savez_compressed(
                 path,
                 users=self._users,

@@ -296,6 +296,7 @@ def rank_hnd_power(
         "diff_vector_variance": float(np.var(result.vector)),
         "warm_start": warm_mode,
         "solver": "arnoldi",
+        "blas_threads": result.blas_threads,
         "iteration_batch": iteration_batch,
     }
     diagnostics.update(kernels.diagnostics())

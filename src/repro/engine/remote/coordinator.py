@@ -567,6 +567,7 @@ class RemoteEngine(ShardKernels):
                         iterations=int(meta["iterations"]),
                         converged=bool(meta["converged"]),
                         residual=float(meta["residual"]),
+                        blas_threads=meta.get("blas_threads"),
                     )
                 except _FAILOVER_ERRORS as err:
                     with self._state_lock:

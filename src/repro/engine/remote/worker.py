@@ -375,6 +375,7 @@ class WorkerServer:
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "residual": result.residual,
+                "blas_threads": result.blas_threads,
             }, {"vector": result.vector}
         if op in _KERNEL_OPS:
             method, meta_keys, array_keys = _KERNEL_OPS[op]

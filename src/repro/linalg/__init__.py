@@ -12,6 +12,8 @@ algorithms are assembled from:
 * :mod:`repro.linalg.spectral` -- eigen-solvers (Arnoldi / Lanczos
   wrappers) used by HND-power / HND-direct / ABH-direct, and the
   Fiedler-vector computation.
+* :mod:`repro.linalg.blas` -- the one-thread OpenBLAS pin that the
+  HND-power Arnoldi solve runs under.
 * :mod:`repro.linalg.operators` -- the difference (``S``) and cumulative-sum
   (``T``) operators from Figure 3 of the paper, implemented as matrix-free
   callables as well as explicit matrices.

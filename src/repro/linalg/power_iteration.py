@@ -45,6 +45,10 @@ class PowerIterationResult:
         solve: the true eigen-residual ``||A x - lambda x||``).
     acceleration:
         Always ``"none"``; kept so existing readers of the field still work.
+    blas_threads:
+        BLAS thread count the solve was pinned to: ``1`` for an Arnoldi
+        solve under :func:`~repro.linalg.blas.single_threaded_blas`,
+        ``None`` when no pin was taken.
     """
 
     vector: np.ndarray
@@ -53,6 +57,7 @@ class PowerIterationResult:
     converged: bool
     residual: float
     acceleration: str = "none"
+    blas_threads: Optional[int] = None
 
 
 def _as_matvec(

@@ -18,12 +18,14 @@ requires ``k < n - 1`` and is unreliable for tiny problems.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.linalg.blas import single_threaded_blas
 from repro.linalg.normalize import l2_normalize
 from repro.linalg.power_iteration import PowerIterationResult
 
@@ -85,9 +87,12 @@ def dominant_eigenpair(
     Implicitly restarted Arnoldi (ARPACK ``eigs``, ``k=1``, ``which="LM"``,
     :data:`ARNOLDI_NCV` basis vectors) from ``start``; operators of at most
     16 rows are materialized column by column and solved densely, because
-    ARPACK needs ``ncv < size``.  The solve is a pure function of the
-    operator and ``start``: the same inputs give the same bits in any
-    process at a fixed BLAS thread count.
+    ARPACK needs ``ncv < size``.  The whole solve runs with every OpenBLAS
+    on one thread (:func:`~repro.linalg.blas.single_threaded_blas`), so it
+    is a pure function of the operator and ``start``: the same inputs give
+    the same bits in any process, whatever its ``OPENBLAS_NUM_THREADS``.
+    The result's ``blas_threads`` is ``1`` when that pin took effect and
+    ``None`` when no OpenBLAS could be bound.
 
     ``max_iterations`` bounds the number of ``matvec`` calls, including the
     final one that measures the true residual ``||A x - lambda x||``
@@ -98,6 +103,20 @@ def dominant_eigenpair(
     entries returns at once with a NaN residual so callers can fall back
     to another start.
     """
+    with single_threaded_blas() as blas_threads:
+        result = _arnoldi(matvec, start, tolerance=tolerance,
+                          max_iterations=max_iterations)
+    return dataclasses.replace(result, blas_threads=blas_threads)
+
+
+def _arnoldi(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    *,
+    tolerance: float,
+    max_iterations: int,
+) -> PowerIterationResult:
+    """:func:`dominant_eigenpair` without the BLAS thread pin."""
     start = np.asarray(start, dtype=float)
     size = start.shape[0]
     if not np.all(np.isfinite(start)):

@@ -388,17 +388,21 @@ class SnapshotStore:
     def save_crowd(self, name: str, matrix: ResponseMatrix) -> None:
         """Persist a crowd's triples via the canonical NPZ format.
 
-        The NPZ is :meth:`ResponseMatrix.save` written to a temp name and
-        renamed; the JSON sidecar (name, content hash, sizes) lands after
-        it, also atomically, and is what :meth:`load_crowd` validates the
-        reloaded matrix against.
+        The NPZ is :meth:`ResponseMatrix.save` written to a temp name,
+        fsynced and renamed, so a power loss leaves either the old file or
+        the whole new one; the JSON sidecar (name, content hash, sizes)
+        lands after it, also atomically, and is what :meth:`load_crowd`
+        validates the reloaded matrix against.
         """
         import json
 
         slug = _crowd_slug(name)
         npz_path = self._crowds_dir / (slug + ".npz")
         tmp = self._tmp_name(self._crowds_dir, suffix=".npz")
-        matrix.save(tmp)
+        with tmp.open("wb") as handle:
+            matrix.save(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
         entry = {
             "name": name,
             "file": npz_path.name,

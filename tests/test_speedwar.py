@@ -90,6 +90,8 @@ def _assert_pinned(ranking, reference, *, backend, batch):
     assert ranking.diagnostics["iterations"] == reference.diagnostics["iterations"]
     assert ranking.diagnostics["backend"] == backend
     assert ranking.diagnostics["iteration_batch"] == batch
+    assert (ranking.diagnostics["blas_threads"]
+            == reference.diagnostics["blas_threads"])
 
 
 # ----------------------------------------------------------------------- #

@@ -447,6 +447,31 @@ class TestCrowdPersistence:
             store.save_crowd(name, make_matrix())
         assert store.crowd_names() == ("third", "second", "first")
 
+    def test_npz_is_fsynced_before_it_replaces_the_crowd_file(
+            self, tmp_path, monkeypatch):
+        """After a power loss the renamed NPZ must not be torn: its bytes
+        reach the disk before the rename makes it the crowd's file."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        SnapshotStore(tmp_path).save_crowd("quiz", make_matrix())
+        npz_name = _crowd_slug("quiz") + ".npz"
+        position, inode = next(
+            (position, event[1]) for position, event in enumerate(events)
+            if event[0] == "replace" and event[2] == npz_name
+        )
+        assert ("fsync", inode) in events[:position]
+
     def test_corrupt_npz_loads_as_absent(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save_crowd("quiz", make_matrix())
