@@ -21,17 +21,17 @@ for the full surface:
 * :mod:`repro.datasets` — the real-world-shaped benchmark datasets
 * :mod:`repro.evaluation` — metrics, accuracy sweeps, stability and timing
 * :mod:`repro.engine` — sharded execution: user-range shards, streaming
-  ingestion, thread/process dispatch, and the hash-keyed rank cache
+  ingestion, remote socket workers, and the hash-keyed rank cache
 * :mod:`repro.api` — the unified entry point: the ranker registry,
   :func:`~repro.api.execution.rank` + :class:`~repro.api.execution.ExecutionPolicy`,
   and the stateful :class:`~repro.api.session.CrowdSession`
 
 Unified API
 -----------
->>> from repro import CrowdSession, ExecutionPolicy, rank
+>>> from repro import CrowdSession, ExecutionPolicy, RankCache, rank
 >>> ranking = rank(dataset.response, "HnD", random_state=0)
->>> sharded = rank(dataset.response, "HnD", random_state=0,
-...                execution=ExecutionPolicy(backend="threads", shards=8))
+>>> cached = rank(dataset.response, "HnD", random_state=0,
+...               execution=ExecutionPolicy(cache=RankCache()))
 """
 
 from repro.core import (
@@ -73,11 +73,7 @@ from repro.truth_discovery import (
 )
 from repro.datasets import list_datasets, load_dataset
 from repro.engine import (
-    ProcessEngine,
     RankCache,
-    ShardedDawidSkeneRanker,
-    ShardedHNDPower,
-    ShardedMajorityVoteRanker,
     ShardedResponse,
     load_sharded,
     load_streaming,
@@ -163,10 +159,6 @@ __all__ = [
     "load_dataset",
     # engine
     "ShardedResponse",
-    "ShardedHNDPower",
-    "ShardedDawidSkeneRanker",
-    "ShardedMajorityVoteRanker",
-    "ProcessEngine",
     "RankCache",
     "load_streaming",
     "load_sharded",

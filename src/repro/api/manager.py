@@ -14,7 +14,7 @@ bookkeeping, once:
   ``exist_ok`` asks for idempotent creation.
 * per-crowd **policy defaults** — sessions inherit the manager's
   :class:`ExecutionPolicy` and cache capacity unless ``create`` overrides
-  them, so "this deployment ranks through 8-thread shards" is said once.
+  them, so "this deployment ranks on these remote workers" is said once.
 * an **LRU bound** on resident sessions — every ``get``/``create``
   touch refreshes recency, and creating past ``max_sessions`` evicts the
   least recently used crowd (counted in ``stats()['evictions']``).
@@ -272,8 +272,7 @@ class SessionManager:
                 "name": name,
                 "num_users": session.num_users,
                 "num_answers": session.num_answers,
-                "backend": (session.execution.resolved_backend
-                            if session.execution is not None else "fused"),
+                "backend": session.execution.backend,
             }
             for name, session in sessions
         ]

@@ -17,8 +17,7 @@ need: the display *name*, the *factory* (the class itself), the *param
 spec* (which constructor parameters affect the result, and which instance
 attribute stores each one), a *determinism / cacheability* flag, and —
 attached by :mod:`repro.engine.rankers` at import time — the sharded
-*kernel runner* that the ``threads`` and ``processes`` execution backends
-share.
+*kernel runner* that the ``remote`` execution backend runs.
 
 Unknown method names fail with a ``KeyError`` carrying a did-you-mean
 hint, so a typo in a CLI flag or an experiment config is a loud,
@@ -179,24 +178,13 @@ class RankerRegistry:
         self._by_class[spec.factory] = spec
         return spec
 
-    def attach_sharded(
-        self,
-        name: str,
-        runner: Callable,
-        *,
-        shim: Optional[type] = None,
-    ) -> None:
-        """Attach the shard-kernel runner (and its deprecated shim class).
+    def attach_sharded(self, name: str, runner: Callable) -> None:
+        """Attach the shard-kernel runner to a registered method.
 
         Called by :mod:`repro.engine.rankers` at import time for the
-        methods whose sufficient statistics merge across shards; ``shim``
-        maps the legacy ``Sharded*`` class onto the same spec so its cache
-        fingerprints read the registry's param spec too.
+        methods whose sufficient statistics merge across shards.
         """
-        spec = self.get(name)
-        spec.kernel_runner = runner
-        if shim is not None:
-            self._by_class[shim] = spec
+        self.get(name).kernel_runner = runner
 
     # ------------------------------------------------------------------ #
     # Lookup

@@ -21,7 +21,7 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
   for other methods/parameters of the *new* state fill in on demand — and a
   no-op append (or re-ingesting identical data) still hits warm.
 * :meth:`rank` / :meth:`top_k` route through :func:`repro.api.rank`, so the
-  session serves any registered method under any
+  session serves any registered method under either
   :class:`~repro.api.execution.ExecutionPolicy` backend.
 
 >>> from repro.api import CrowdSession

@@ -9,10 +9,9 @@ Usage::
     python -m repro.cli fig7
     python -m repro.cli fig12 --students 100
     python -m repro.cli fig13
-    python -m repro.cli rank crowd.npz --method HnD --shards 8 --repeat 3
-    python -m repro.cli rank crowd.npz --backend processes --shards 8
-    python -m repro.cli rank crowd.npz --backend remote \
-        --workers 127.0.0.1:9101,127.0.0.1:9102 --shards 8
+    python -m repro.cli rank crowd.npz --method HnD --repeat 3
+    python -m repro.cli rank crowd.npz --shards 8 \
+        --workers 127.0.0.1:9101,127.0.0.1:9102
 
 Each ``figN`` command prints a plain-text table with the same rows/series
 the paper reports; the figure-to-command mapping follows the benchmark
@@ -21,11 +20,11 @@ scripts in ``benchmarks/`` (one ``bench_figN_*.py`` per reproduced figure).
 ``rank`` is the serving entry point: it streams a saved matrix (NPZ or
 CSV triples) through the chunked readers and ranks it through
 :func:`repro.api.rank` — the method name resolves in the ranker registry
-and ``--backend``/``--shards``/``--workers`` populate an
-:class:`~repro.api.execution.ExecutionPolicy` (``threads`` dispatches the
-shard kernels in-process, ``processes`` over a worker pool, ``remote``
-over supervised socket workers; all are bit-identical to the fused
-kernels).  Repeated calls are served from the hash-keyed
+and ``--shards``/``--workers`` populate an
+:class:`~repro.api.execution.ExecutionPolicy`: without ``--workers`` the
+fused single-process kernels run; with a ``host:port`` list the shard
+kernels run on supervised remote socket workers, bit-identical to the
+fused kernels.  Repeated calls are served from the hash-keyed
 :class:`~repro.engine.cache.RankCache`.
 """
 
@@ -250,9 +249,9 @@ def command_rank(args: argparse.Namespace) -> int:
 
     # Everything resolves through repro.api: the registry supplies the
     # method (with a did-you-mean hint on typos), the ExecutionPolicy
-    # separates it from how it runs ("auto" resolution included — the CLI
-    # does not re-implement it).  All validation runs before the input is
-    # loaded, so a bad invocation fails fast.
+    # separates it from how it runs (the CLI does not re-implement its
+    # validation).  All validation runs before the input is loaded, so a
+    # bad invocation fails fast.
     try:
         spec = REGISTRY.get(args.method)
     except KeyError as error:
@@ -316,24 +315,10 @@ def command_rank(args: argparse.Namespace) -> int:
         except ValueError as error:
             print("error:", error, file=sys.stderr)
             return 2
-    # --workers doubles as a count (threads/processes) and a host:port
-    # list (remote); anything containing ':' or ',' is an address list.
-    worker_count = None
     remote_workers = None
     if args.workers is not None:
-        if ":" in args.workers or "," in args.workers:
-            remote_workers = [part.strip() for part in args.workers.split(",")
-                              if part.strip()]
-        else:
-            try:
-                worker_count = int(args.workers)
-            except ValueError:
-                print(
-                    "error: --workers takes a count or a comma-separated "
-                    "host:port list, got %r" % args.workers,
-                    file=sys.stderr,
-                )
-                return 2
+        remote_workers = [part.strip() for part in args.workers.split(",")
+                          if part.strip()]
     store = None
     if args.store is not None:
         from repro.store import SnapshotStore
@@ -342,17 +327,14 @@ def command_rank(args: argparse.Namespace) -> int:
     cache = RankCache(maxsize=args.cache_size, store=store)
     try:
         policy = ExecutionPolicy(
-            backend=args.backend,
             shards=args.shards,
-            workers=worker_count,
             remote_workers=remote_workers,
             iteration_batch=args.iteration_batch,
             cache=cache,
         )
     except ValueError as error:
-        # e.g. an explicit --backend fused combined with --shards > 1, or
-        # --backend remote without worker addresses: surface the conflict
-        # instead of silently dropping the flag.
+        # e.g. --shards > 1 without --workers, or a malformed address:
+        # surface the conflict instead of silently dropping the flag.
         print("error:", error, file=sys.stderr)
         return 2
 
@@ -370,15 +352,13 @@ def command_rank(args: argparse.Namespace) -> int:
             args.chunk_size,
         )
     )
-    if policy.resolved_backend == "remote":
-        worker_desc = ",".join(
-            "%s:%d" % address for address in policy.remote_workers
-        )
-    else:
-        worker_desc = policy.workers
+    worker_desc = (
+        ",".join("%s:%d" % address for address in policy.remote_workers)
+        if policy.remote_workers else None
+    )
     print(
         "method %s via backend %s (%d shard(s), workers=%s%s)"
-        % (spec.name, policy.resolved_backend, policy.shards, worker_desc,
+        % (spec.name, policy.backend, policy.shards, worker_desc,
            ", warm-started" if args.warm_start else "")
     )
 
@@ -426,12 +406,12 @@ def command_rank(args: argparse.Namespace) -> int:
                   % (call + 1, elapsed, served, detail))
     except EngineError as error:
         # An execution failure (remote workers lost with local fallback
-        # disabled, a dead process pool): typed, actionable, no traceback.
+        # disabled): typed, actionable, no traceback.
         print("error:", error, file=sys.stderr)
         return 3
     except ValueError as error:
-        # e.g. a sharded backend for a method without shard kernels
-        # (GLAD --shards 4): a clean error, not a traceback.
+        # e.g. remote workers for a method without shard kernels
+        # (GLAD --workers ...): a clean error, not a traceback.
         print("error:", error, file=sys.stderr)
         return 2
     print("cache stats:", cache.stats())
@@ -466,10 +446,6 @@ def command_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import CrowdServer, ServeConfig
 
-    if args.shards < 1:
-        print("error: --shards must be >= 1, got %d" % args.shards,
-              file=sys.stderr)
-        return 2
     if args.cache_size is not None and args.cache_size < 1:
         print("error: --cache-size must be >= 1, got %d" % args.cache_size,
               file=sys.stderr)
@@ -483,11 +459,6 @@ def command_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        policy = ExecutionPolicy(backend=args.backend, shards=args.shards)
-    except ValueError as error:
-        print("error:", error, file=sys.stderr)
-        return 2
-    try:
         config = ServeConfig(
             host=args.host,
             port=args.port,
@@ -497,7 +468,6 @@ def command_serve(args: argparse.Namespace) -> int:
             burst=args.burst,
             max_pending_answers=args.max_pending_answers,
             max_sessions=args.max_sessions,
-            execution=policy,
             cache_size=args.cache_size,
             store_dir=args.store,
         )
@@ -704,21 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(unknown names exit 2 with a did-you-mean hint); one of: %s"
              % ", ".join(sorted(REGISTRY.names(supervised=False))),
     )
-    rank.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "fused", "threads", "processes", "remote"],
-        help="execution backend (auto = threads when --shards > 1, else "
-             "fused single-process kernels); all backends are bit-identical",
-    )
     rank.add_argument("--shards", type=int, default=1,
-                      help="user-range shards (1 = single-process kernels)")
+                      help="user-range shards on the remote workers "
+                           "(above 1 needs --workers)")
     rank.add_argument("--workers", default=None,
-                      help="shard-dispatch workers: a count (threads for "
-                           "--backend threads, processes for --backend "
-                           "processes), or a comma-separated host:port list "
-                           "for --backend remote (e.g. "
-                           "--workers 127.0.0.1:9101,127.0.0.1:9102)")
+                      help="remote workers as a comma-separated host:port "
+                           "list (e.g. --workers 127.0.0.1:9101,"
+                           "127.0.0.1:9102); without it the fused "
+                           "single-process kernels run, bit-identically")
     rank.add_argument("--repeat", type=int, default=2,
                       help="rank() calls to issue (later calls hit the cache)")
     rank.add_argument("--warm-start", action="store_true",
@@ -739,10 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--iteration-batch", type=int, default=1,
                       metavar="STEPS",
                       help="above 1, run the whole HnD eigensolve in one "
-                           "dispatch on a processes/remote worker instead "
-                           "of one round-trip per matvec (bit-identical "
-                           "either way); only HnD accepts > 1, and the "
-                           "fused/threads backends reject it (exit 2)")
+                           "dispatch on a remote worker instead of one "
+                           "round-trip per matvec (bit-identical either "
+                           "way); only HnD accepts > 1, and only with "
+                           "--workers (exit 2 otherwise)")
     rank.add_argument("--top", type=int, default=10,
                       help="how many top-ranked users to print")
     rank.add_argument("--chunk-size", type=int, default=65536,
@@ -764,13 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 picks an ephemeral port; the bound "
                             "port is printed on the READY line)")
-    serve.add_argument("--backend", default="auto",
-                       choices=["auto", "fused", "threads", "processes"],
-                       help="default execution backend for hosted crowds "
-                            "(remote workers are not routable from inside "
-                            "the server; run them behind the rank command)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="user-range shards for the default backend")
     serve.add_argument("--max-queue", type=int, default=32,
                        help="solves admitted at once; past it, rank requests "
                             "get a typed 'overloaded' rejection (never a "

@@ -1,48 +1,36 @@
-"""Backend-agnostic sharded ranking: kernel interface, runners, and shims.
+"""Sharded ranking runners over a small kernel interface.
 
 The paper's shard-friendly methods (MajorityVote, Dawid–Skene, HnD-Power)
 are implemented **once** here as *runners* — ``rank_majority_vote``,
 ``rank_dawid_skene``, ``rank_hnd_power`` — over a small kernel interface
 (:class:`ShardKernels`).  A runner owns everything that is not a sufficient
-statistic (the HnD eigensolve, the EM loop, symmetry breaking), so
-every backend walks literally the same code path and produces **the same
+statistic (the HnD eigensolve, the EM loop, symmetry breaking), so a
+sharded run walks literally the same code path and produces **the same
 scores, bit for bit,** as the single-process rankers (``MajorityVoteRanker``,
-``DawidSkeneRanker``, ``HNDPower``) at any shard and worker count:
+``DawidSkeneRanker``, ``HNDPower``) at any shard and worker count.  The one
+implementation of the interface is
+:class:`~repro.engine.remote.coordinator.RemoteEngine`, which dispatches the
+shard map to socket workers.
 
-* :class:`ThreadKernels` dispatches the shard map serially or over the
-  :class:`~repro.engine.sharding.ShardedResponse` thread pool;
-* :class:`~repro.engine.process_backend.ProcessEngine` dispatches it over a
-  ``ProcessPoolExecutor`` (worker-resident shard slices + shared-memory
-  vectors) and implements the same interface.
-
-The preferred entry point is :func:`repro.api.rank` with an
+The entry point is :func:`repro.api.rank` with an
 :class:`~repro.api.execution.ExecutionPolicy`::
 
-    rank(matrix, "HnD", execution=ExecutionPolicy(backend="threads", shards=8))
-
-.. deprecated:: 1.1
-    The ``ShardedMajorityVoteRanker`` / ``ShardedDawidSkeneRanker`` /
-    ``ShardedHNDPower`` classes remain as thin shims over the runners for
-    backward compatibility, but direct construction is deprecated — new
-    code should select the execution strategy through ``ExecutionPolicy``
-    rather than by class.
+    rank(matrix, "HnD", execution=ExecutionPolicy(
+        shards=8, remote_workers=["10.0.0.1:9101", "10.0.0.2:9101"]))
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.registry import REGISTRY
 from repro.core.hitsndiffs import _trivial_diagnostics, hnd_power_solve
-from repro.core.ranking import AbilityRanker, AbilityRanking
+from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.core.symmetry import orient_scores
-from repro.engine import kernels as _kernels
-from repro.engine.sharding import ShardedResponse
 from repro.linalg.operators import apply_cumulative
 from repro.linalg.power_iteration import (
     DEFAULT_MAX_ITERATIONS,
@@ -53,27 +41,15 @@ from repro.truth_discovery.dawid_skene import dawid_skene_solve
 RandomState = Optional[Union[int, np.random.Generator]]
 
 
-def _as_sharded(
-    response: Union[ResponseMatrix, ShardedResponse],
-    num_shards: int,
-    max_workers: Optional[int],
-) -> ShardedResponse:
-    """Split a matrix, or adopt an existing sharding as-is."""
-    if isinstance(response, ShardedResponse):
-        return response
-    return ShardedResponse.split(response, num_shards, max_workers=max_workers)
-
-
 class ShardKernels:
     """The kernel interface the runners execute against.
 
     A backend exposes the shard-parallel sufficient-statistic kernels plus
-    the small shared state the finishing code needs.  Implementations:
-    :class:`ThreadKernels` here and
-    :class:`~repro.engine.process_backend.ProcessEngine`.
+    the small shared state the finishing code needs.  Implemented by
+    :class:`~repro.engine.remote.coordinator.RemoteEngine`.
     """
 
-    #: Reported in result diagnostics (``"threads"`` / ``"serial"`` / ``"processes"``).
+    #: Reported in result diagnostics.
     backend: str = "abstract"
 
     #: Above 1, a backend with a solve runner (see :meth:`hnd_solve_runner`)
@@ -126,54 +102,18 @@ class ShardKernels:
     def hnd_solve_runner(self) -> Optional[Callable]:
         """Whole-solve dispatch hook: ``runner(start, tolerance, budget)``.
 
-        A backend that pays a per-dispatch round-trip (processes, remote)
-        returns a callable that ships the start vector, tolerance and
+        A backend that pays a per-dispatch round-trip (remote) returns a
+        callable that ships the start vector, tolerance and
         matvec budget once and runs
         :func:`~repro.linalg.spectral.dominant_eigenpair` on a full replica
         where the data lives, returning its
         :class:`~repro.linalg.power_iteration.PowerIterationResult` —
         instead of one task/socket round-trip per matvec.  The replica's
         matvec is bit-identical to the in-process one, so the result is
-        too.  Backends whose matvec dispatch is cheap (fused, threads)
-        return None and the solve runs in-process.
+        too.  A backend that returns None runs the solve in-process, one
+        dispatch per matvec.
         """
         return None
-
-
-class ThreadKernels(ShardKernels):
-    """Kernel interface over in-process shards (serial or thread dispatch).
-
-    A thin adapter around the :mod:`repro.engine.kernels` functions — the
-    dispatch mode is whatever the wrapped :class:`ShardedResponse` was
-    configured with (``max_workers``).
-    """
-
-    def __init__(self, sharded: ShardedResponse) -> None:
-        self.sharded = sharded
-
-    @property
-    def backend(self) -> str:  # type: ignore[override]
-        workers = self.sharded.max_workers
-        return "threads" if workers and workers > 1 else "serial"
-
-    @property
-    def source(self) -> ResponseMatrix:
-        return self.sharded.source
-
-    @property
-    def num_shards(self) -> int:
-        return self.sharded.num_shards
-
-    def majority_scores(self, *, normalize_by_answers: bool = True):
-        return _kernels.majority_vote_scores(
-            self.sharded, normalize_by_answers=normalize_by_answers
-        )
-
-    def dawid_skene_accumulators(self, num_classes: int):
-        return _kernels.dawid_skene_accumulators(self.sharded, num_classes)
-
-    def hnd_difference_step(self):
-        return _kernels.hnd_difference_step(self.sharded)
 
 
 # --------------------------------------------------------------------------- #
@@ -307,144 +247,8 @@ def rank_hnd_power(
                           diagnostics=diagnostics, state=state)
 
 
-# --------------------------------------------------------------------------- #
-# Deprecated shims: class-based backend selection, kept for compatibility
-# --------------------------------------------------------------------------- #
-def _warn_deprecated_shim(cls: type, method: str) -> None:
-    """Runtime migration signal for the class-based backend selection."""
-    warnings.warn(
-        "%s is deprecated; use repro.api.rank(response, %r, "
-        "execution=ExecutionPolicy(backend='threads', shards=...)) instead"
-        % (cls.__name__, method),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class ShardedMajorityVoteRanker(AbilityRanker):
-    """Thread-sharded ``MajorityVoteRanker`` (deprecated shim).
-
-    .. deprecated:: 1.1
-        Use ``repro.api.rank(response, "MajorityVote",
-        execution=ExecutionPolicy(backend="threads", shards=...))``.
-    """
-
-    name = "MajorityVote"
-    #: Execution-only knobs: results are bit-identical at any shard/worker
-    #: count, so the rank cache keys ignore them (see ranker_fingerprint).
-    cache_excluded_attributes = ("num_shards", "max_workers")
-
-    def __init__(self, *, num_shards: int = 4, max_workers: Optional[int] = None,
-                 normalize_by_answers: bool = True) -> None:
-        _warn_deprecated_shim(type(self), "MajorityVote")
-        self.num_shards = num_shards
-        self.max_workers = max_workers
-        self.normalize_by_answers = normalize_by_answers
-
-    def rank(
-        self, response: Union[ResponseMatrix, ShardedResponse]
-    ) -> AbilityRanking:
-        kernels = ThreadKernels(
-            _as_sharded(response, self.num_shards, self.max_workers)
-        )
-        return rank_majority_vote(
-            kernels, normalize_by_answers=self.normalize_by_answers
-        )
-
-
-class ShardedDawidSkeneRanker(AbilityRanker):
-    """Thread-sharded ``DawidSkeneRanker`` (deprecated shim).
-
-    .. deprecated:: 1.1
-        Use ``repro.api.rank(response, "Dawid-Skene",
-        execution=ExecutionPolicy(backend="threads", shards=...))``.
-    """
-
-    name = "Dawid-Skene"
-    #: Execution-only knobs (see ShardedMajorityVoteRanker).
-    cache_excluded_attributes = ("num_shards", "max_workers")
-
-    def __init__(self, *, num_shards: int = 4, max_workers: Optional[int] = None,
-                 max_iterations: int = 100, tolerance: float = 1e-6,
-                 smoothing: float = 0.01) -> None:
-        _warn_deprecated_shim(type(self), "Dawid-Skene")
-        self.num_shards = num_shards
-        self.max_workers = max_workers
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.smoothing = smoothing
-
-    def rank(
-        self, response: Union[ResponseMatrix, ShardedResponse]
-    ) -> AbilityRanking:
-        kernels = ThreadKernels(
-            _as_sharded(response, self.num_shards, self.max_workers)
-        )
-        return rank_dawid_skene(
-            kernels,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            smoothing=self.smoothing,
-        )
-
-
-class ShardedHNDPower(AbilityRanker):
-    """Thread-sharded ``HNDPower`` (deprecated shim).
-
-    .. deprecated:: 1.1
-        Use ``repro.api.rank(response, "HnD",
-        execution=ExecutionPolicy(backend="threads", shards=...))``.
-    """
-
-    name = "HnD"
-    #: Execution-only knobs (see ShardedMajorityVoteRanker).
-    cache_excluded_attributes = ("num_shards", "max_workers")
-
-    def __init__(
-        self,
-        *,
-        num_shards: int = 4,
-        max_workers: Optional[int] = None,
-        tolerance: float = DEFAULT_TOLERANCE,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        break_symmetry: bool = True,
-        check_connectivity: bool = False,
-        random_state: RandomState = None,
-        acceleration: Optional[str] = None,
-    ) -> None:
-        _warn_deprecated_shim(type(self), "HnD")
-        self.num_shards = num_shards
-        self.max_workers = max_workers
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
-        self.random_state = random_state
-        self.acceleration = acceleration
-
-    def rank(
-        self, response: Union[ResponseMatrix, ShardedResponse]
-    ) -> AbilityRanking:
-        kernels = ThreadKernels(
-            _as_sharded(response, self.num_shards, self.max_workers)
-        )
-        return rank_hnd_power(
-            kernels,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            break_symmetry=self.break_symmetry,
-            check_connectivity=self.check_connectivity,
-            random_state=self.random_state,
-            acceleration=self.acceleration,
-        )
-
-
 # The registry entries of the shard-capable methods gain their kernel
-# runner here (the ranker classes registered the specs at import time);
-# the shim classes map onto the same specs so their cache fingerprints
-# read the registry's param spec.
-REGISTRY.attach_sharded("MajorityVote", rank_majority_vote,
-                        shim=ShardedMajorityVoteRanker)
-REGISTRY.attach_sharded("Dawid-Skene", rank_dawid_skene,
-                        shim=ShardedDawidSkeneRanker)
-REGISTRY.attach_sharded("HnD", rank_hnd_power, shim=ShardedHNDPower)
+# runner here (the ranker classes registered the specs at import time).
+REGISTRY.attach_sharded("MajorityVote", rank_majority_vote)
+REGISTRY.attach_sharded("Dawid-Skene", rank_dawid_skene)
+REGISTRY.attach_sharded("HnD", rank_hnd_power)

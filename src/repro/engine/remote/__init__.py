@@ -1,23 +1,24 @@
 """Remote execution backend: shard kernels behind a socket boundary.
 
-The process backend (PR 4) already shaped its worker protocol like a
-network transport — shard slices shipped once, small per-iteration vectors
-exchanged, every float reduction performed in the parent in canonical
-answer order.  This package moves that protocol onto real sockets and adds
-the failure handling a network needs:
+Shard slices are shipped to the workers once, small per-iteration vectors
+are exchanged, and every float reduction is performed in the coordinator
+in canonical answer order.  The package adds the failure handling a
+network needs:
 
 * :mod:`~repro.engine.remote.protocol` — length-prefixed, checksummed
   message framing for numpy arrays.
 * :mod:`~repro.engine.remote.worker` — a standalone worker process
   (``python -m repro.engine.remote.worker --port N``) holding shard slices
-  and answering per-iteration kernel requests.
+  and answering per-iteration kernel requests.  Import ``ShardStore`` and
+  ``WorkerServer`` from that module: the package never imports it, so
+  ``python -m`` finds it unloaded when it runs it.
 * :mod:`~repro.engine.remote.supervision` — per-request timeouts,
   retry with exponential backoff and jitter, heartbeats, and a per-worker
   circuit breaker.
 * :mod:`~repro.engine.remote.coordinator` — :class:`RemoteEngine`, a
   :class:`~repro.engine.rankers.ShardKernels` implementation that keeps
   all float reductions coordinator-side, so remote scores stay
-  bit-identical to the fused/threads/processes backends, and reassigns a
+  bit-identical to the fused kernels, and reassigns a
   dead worker's shards to a survivor (or solves them coordinator-local)
   without changing a single bit of the result.
 * :mod:`~repro.engine.remote.chaos` — a fault-injecting TCP proxy used by
@@ -31,14 +32,12 @@ from repro.engine.remote.supervision import (
     SupervisionConfig,
     WorkerClient,
 )
-from repro.engine.remote.worker import ShardStore, WorkerServer
 
 __all__ = [
     "ChaosProxy",
     "CircuitBreaker",
     "RemoteEngine",
-    "ShardStore",
     "SupervisionConfig",
     "WorkerClient",
-    "WorkerServer",
 ]
+

@@ -1,6 +1,6 @@
 """The remote coordinator: :class:`RemoteEngine`, shard kernels over sockets.
 
-Data plane (mirrors :class:`~repro.engine.process_backend.ProcessEngine`):
+Data plane:
 
 * **shard slices are shipped once**, at engine construction, round-robin
   over the configured workers.  Any worker can hold any shard, which is
@@ -11,12 +11,12 @@ Data plane (mirrors :class:`~repro.engine.process_backend.ProcessEngine`):
   shard's gathered contributions or its disjoint user-row block.
 * **every float reduction happens here, in canonical answer order** — the
   single sequential ``np.bincount`` scatter over the canonical triples,
-  exactly the accumulation order of the fused kernels, the thread backend,
-  and the process backend.  Workers never sum across answers that the
-  fused kernels would not sum in the same order, so remote scores are
-  **bit-identical to every other backend at any shard/worker count** — a
-  property that survives worker loss, because a reassigned (or
-  coordinator-local) shard computes the same shard-pure function.
+  exactly the accumulation order of the fused kernels.  Workers never sum
+  across answers that the fused kernels would not sum in the same order,
+  so remote scores are **bit-identical to the fused kernels at any
+  shard/worker count** — a property that survives worker loss, because a
+  reassigned (or coordinator-local) shard computes the same shard-pure
+  function.
 
 Failure plane: requests go through
 :class:`~repro.engine.remote.supervision.WorkerClient` (timeouts, retries
@@ -36,7 +36,9 @@ import threading
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from repro.engine.remote.supervision import (
     SupervisionConfig,
     WorkerClient,
 )
-from repro.engine.remote.worker import ShardStore
 from repro.engine.sharding import ShardedResponse
 from repro.exceptions import (
     CircuitOpenError,
@@ -57,6 +58,11 @@ from repro.exceptions import (
 from repro.linalg.operators import apply_cumulative_into, apply_difference
 from repro.linalg.power_iteration import PowerIterationResult
 from repro.linalg.spectral import dominant_eigenpair
+
+if TYPE_CHECKING:
+    # Only for annotations: importing the worker module here would make
+    # ``python -m repro.engine.remote.worker`` find it already imported.
+    from repro.engine.remote.worker import ShardStore
 
 WorkerAddress = Union[str, Tuple[str, int]]
 
@@ -69,6 +75,9 @@ def parse_worker_address(value: WorkerAddress) -> Tuple[str, int]:
     """Normalize ``"host:port"`` / ``(host, port)`` to a ``(host, port)``."""
     if isinstance(value, str):
         host, sep, port = value.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            # An IPv6 literal: "[::1]:9101" names the host "::1".
+            host = host[1:-1]
         if not sep or not host:
             raise ValueError(
                 "worker address %r is not of the form host:port" % value
@@ -329,6 +338,8 @@ class RemoteEngine(ShardKernels):
             )
         with self._state_lock:
             if self._local_store is None:
+                from repro.engine.remote.worker import ShardStore
+
                 self._local_store = ShardStore()
             store = self._local_store
             meta, arrays = self._shard_payload(shard_id)

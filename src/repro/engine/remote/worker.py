@@ -7,10 +7,9 @@ CI parse that line to learn the bound port.
 
 The compute lives in :class:`ShardStore`, a plain in-memory map from shard
 id to its triple slices with one pure numpy method per kernel op.  Each
-method mirrors the corresponding task function of
-:mod:`repro.engine.process_backend` *exactly* — same ``np.bincount`` keys,
-same weight gathers, same accumulation order — which is what keeps remote
-results bit-identical to the other backends.  The coordinator instantiates
+method computes its shard's piece *exactly* as the fused kernels do — same
+``np.bincount`` keys, same weight gathers, same accumulation order — which
+is what keeps remote results bit-identical to the fused kernels.  The coordinator instantiates
 its own :class:`ShardStore` for the coordinator-local fallback path, so a
 shard solved locally after a total worker loss produces the same bytes it
 would have produced remotely.
@@ -44,10 +43,10 @@ def _one_hot_block(users_local: np.ndarray, columns: np.ndarray,
                    num_rows: int, num_columns: int) -> sp.csr_matrix:
     """A shard's one-hot CSR row block (canonical answer order per row).
 
-    The same block the thread backend caches on ``ShardedResponse`` and
-    the process backend builds per worker: a SciPy matvec over it
-    accumulates each user row in canonical answer order, bit-identical to
-    the fused kernel and to the gather + ``np.bincount`` pair it replaces.
+    The shard's row block of the binary matrix
+    :class:`~repro.core.response.CompiledResponse` compiles: a SciPy matvec
+    over it accumulates each user row in canonical answer order,
+    bit-identical to the fused kernel.
     """
     counts = np.bincount(users_local, minlength=num_rows)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
@@ -62,10 +61,9 @@ def _one_hot_block(users_local: np.ndarray, columns: np.ndarray,
 class ShardStore:
     """Shard slices plus the per-shard kernel computations.
 
-    Each shard is registered once via :meth:`load_shard` with the same
-    integer arrays the process backend ships through its pool initializer;
-    the kernel methods then answer per-iteration requests against the
-    stored slices.
+    Each shard is registered once via :meth:`load_shard` with its integer
+    triple slices and binary-column ids; the kernel methods then answer
+    per-iteration requests against the stored slices.
     """
 
     def __init__(self) -> None:

@@ -11,8 +11,8 @@ Round-trip guarantee: ``ShardedResponse.from_shards(sharded.shards)``
 rebuilds a matrix equal (and hash-equal) to the original, because the shard
 slices concatenate back to exactly the canonical arrays.
 
-Determinism model (what makes shard-parallel kernels bit-identical)
--------------------------------------------------------------------
+Determinism model (what makes sharded kernels bit-identical)
+------------------------------------------------------------
 The ranking kernels reduce per-answer contributions into either *per-user*
 or *per-item* outputs:
 
@@ -23,28 +23,23 @@ or *per-item* outputs:
 * **per-item integer** statistics (option histograms) reduce by summing
   partial histograms — exact, because integer addition is associative;
 * **per-item float** reductions are *not* reassociated: shards gather their
-  per-answer contributions in parallel (the ``O(nnz)`` gather is the bulk of
-  the work) and the reduce performs one sequential ``bincount`` scatter over
-  the canonical answer order — the same accumulation order SciPy's CSR/CSC
-  kernels use — so the result is independent of the shard count.
+  per-answer contributions and the reduce performs one sequential
+  ``bincount`` scatter over the canonical answer order — the same
+  accumulation order SciPy's CSR/CSC kernels use — so the result is
+  independent of the shard count.
 
-See :mod:`repro.engine.kernels` for the kernels built on this model.
+:class:`~repro.engine.remote.coordinator.RemoteEngine` builds its kernels
+on this model.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.response import ResponseMatrix, _safe_inverse
 from repro.exceptions import InvalidResponseMatrixError
-
-T = TypeVar("T")
 
 
 class ResponseShard:
@@ -113,20 +108,10 @@ class ShardedResponse:
         directly.
     boundaries:
         User cut points ``0 = b_0 <= b_1 <= ... <= b_S = m``.
-    max_workers:
-        Worker threads for :meth:`map`.  ``None``/``0``/``1`` dispatches
-        serially in-process; larger values use a
-        :class:`concurrent.futures.ThreadPoolExecutor` (the kernels are
-        NumPy-bound and release the GIL for the heavy gathers/scatters).
-        The dispatch mode never changes results — see the module docstring.
     """
 
     def __init__(
-        self,
-        response: ResponseMatrix,
-        boundaries: Sequence[int],
-        *,
-        max_workers: Optional[int] = None,
+        self, response: ResponseMatrix, boundaries: Sequence[int]
     ) -> None:
         users, items, options = response.triples
         boundaries = np.asarray(boundaries, dtype=np.int64)
@@ -141,7 +126,6 @@ class ShardedResponse:
             raise ValueError("boundaries must be non-decreasing")
         self.source = response
         self.boundaries = boundaries
-        self.max_workers = max_workers
         # Answer-space cut points: user-major order makes each user range a
         # contiguous slice of the triples.
         cuts = np.searchsorted(users, boundaries, side="left")
@@ -158,27 +142,19 @@ class ShardedResponse:
         ]
         # Lazily-built shared kernel state.  The cached arrays are pure
         # functions of the canonical state, so a duplicate concurrent build
-        # is wasted work but never wrong; the pool is guarded by a lock so
-        # racing callers cannot leak an executor.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        # is wasted work but never wrong.
         self._columns: Optional[np.ndarray] = None
         self._answers_per_user: Optional[np.ndarray] = None
         self._inv_answers_per_user: Optional[np.ndarray] = None
         self._column_counts: Optional[np.ndarray] = None
         self._inv_column_counts: Optional[np.ndarray] = None
-        self._shard_blocks: Optional[List[sp.csr_matrix]] = None
 
     # ------------------------------------------------------------------ #
     # Construction / reassembly
     # ------------------------------------------------------------------ #
     @classmethod
     def split(
-        cls,
-        response: ResponseMatrix,
-        num_shards: int,
-        *,
-        max_workers: Optional[int] = None,
+        cls, response: ResponseMatrix, num_shards: int
     ) -> "ShardedResponse":
         """Partition ``response`` into ``num_shards`` user-range shards.
 
@@ -198,7 +174,7 @@ class ShardedResponse:
         boundaries = np.concatenate(
             [[0], np.maximum.accumulate(interior), [response.num_users]]
         )
-        return cls(response, boundaries, max_workers=max_workers)
+        return cls(response, boundaries)
 
     @classmethod
     def from_shards(
@@ -207,7 +183,6 @@ class ShardedResponse:
         *,
         shape: tuple,
         num_options,
-        max_workers: Optional[int] = None,
     ) -> "ShardedResponse":
         """Reassemble shards into a sharded matrix (the ``split`` inverse).
 
@@ -241,7 +216,7 @@ class ShardedResponse:
             num_options=num_options,
         )
         boundaries = [0] + [shard.user_stop for shard in shards]
-        return cls(matrix, boundaries, max_workers=max_workers)
+        return cls(matrix, boundaries)
 
     def to_matrix(self) -> ResponseMatrix:
         """The source matrix (shards are views of it — nothing to rebuild)."""
@@ -280,24 +255,10 @@ class ShardedResponse:
 
     @property
     def columns(self) -> np.ndarray:
-        """Binary-column id of each answer (global, user-major; cached).
-
-        Filled shard-parallel on first use — each shard writes its slice of
-        the shared buffer, so this is also the warm-up that exercises the
-        dispatch path.
-        """
+        """Binary-column id of each answer (global, user-major; cached)."""
         if self._columns is None:
-            columns = np.empty(self.num_answers, dtype=np.int64)
-            starts = np.asarray(self.column_offsets[:-1])
-            cuts = self.answer_cuts
-
-            def fill(index: int) -> None:
-                shard = self.shards[index]
-                columns[cuts[index]:cuts[index + 1]] = (
-                    starts[shard.items] + shard.options
-                )
-
-            self.run(fill)
+            _, items, options = self.source.triples
+            columns = np.asarray(self.column_offsets[:-1])[items] + options
             columns.flags.writeable = False
             self._columns = columns
         return self._columns
@@ -328,85 +289,3 @@ class ShardedResponse:
         if self._inv_column_counts is None:
             self._inv_column_counts = _safe_inverse(self.column_counts)
         return self._inv_column_counts
-
-    @property
-    def shard_blocks(self) -> List[sp.csr_matrix]:
-        """Per-shard one-hot CSR blocks of the binary response matrix (cached).
-
-        Block ``s`` has shape ``(shards[s].num_users, num_columns)`` — the
-        shard's row block of the same binary matrix
-        :class:`~repro.core.response.CompiledResponse` compiles — so a
-        per-shard SciPy matvec ``block @ v`` accumulates each user row in
-        exactly the canonical answer order the fused CSR kernel (and the
-        previous gather + ``np.bincount`` formulation) uses: shard-parallel
-        matvecs over these blocks are bit-identical to the fused kernel.
-
-        Built once per sharding, shard-parallel, like :attr:`columns`; the
-        ``data`` arrays are views of one shared all-ones buffer, so the
-        extra memory is the ``O(nnz)`` column-index copy.
-        """
-        if self._shard_blocks is None:
-            columns = self.columns
-            cuts = self.answer_cuts
-            num_columns = self.num_columns
-            index_dtype = (
-                np.int32
-                if max(num_columns, self.num_answers) < np.iinfo(np.int32).max
-                else np.int64
-            )
-            ones = np.ones(self.num_answers, dtype=np.float64)
-            ones.flags.writeable = False
-
-            def build(index: int) -> sp.csr_matrix:
-                shard = self.shards[index]
-                lo, hi = int(cuts[index]), int(cuts[index + 1])
-                counts = np.bincount(
-                    shard.local_users, minlength=shard.num_users
-                )
-                indptr = np.zeros(shard.num_users + 1, dtype=index_dtype)
-                np.cumsum(counts, out=indptr[1:], dtype=index_dtype)
-                indices = columns[lo:hi].astype(index_dtype, copy=True)
-                indices.flags.writeable = False
-                indptr.flags.writeable = False
-                # Assemble without the validating constructors: the arrays
-                # are canonical by construction (same trick as
-                # CompiledResponse) and copies would double the memory.
-                block = sp.csr_matrix((shard.num_users, num_columns))
-                block.data = ones[lo:hi]
-                block.indices = indices
-                block.indptr = indptr
-                return block
-
-            self._shard_blocks = self.run(build)
-        return self._shard_blocks
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def run(self, task: Callable[[int], T]) -> List[T]:
-        """Apply ``task(shard_index)`` to every shard; returns shard order.
-
-        Serial when ``max_workers`` is ``None``/``0``/``1``, thread-parallel
-        otherwise.  Tasks either return per-shard results (reduced by the
-        caller) or write into disjoint slices of a shared buffer; both are
-        safe under either dispatch mode.
-        """
-        indices = range(self.num_shards)
-        if not self.max_workers or self.max_workers <= 1 or self.num_shards <= 1:
-            return [task(index) for index in indices]
-        with self._pool_lock:
-            if self._pool is None:
-                # One persistent pool per sharding: the iterative rankers
-                # call run() many times (twice per matvec),
-                # so per-call pool construction would dominate the dispatch
-                # cost.  The finalizer tears the threads down when the
-                # sharding is garbage collected.
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.max_workers, self.num_shards)
-                )
-                weakref.finalize(self, self._pool.shutdown, wait=False)
-        return list(self._pool.map(task, indices))
-
-    def map_shards(self, task: Callable[[ResponseShard], T]) -> List[T]:
-        """Apply ``task(shard)`` to every shard (same dispatch as :meth:`run`)."""
-        return self.run(lambda index: task(self.shards[index]))

@@ -42,7 +42,7 @@ class ConvergenceError(ReproError):
 
 
 class EngineError(ReproError, RuntimeError):
-    """Base class for execution-engine failures (pools, remote workers).
+    """Base class for execution-engine failures (remote workers).
 
     Also derives from :class:`RuntimeError` so callers written against the
     engines' pre-taxonomy errors keep working.  Subclasses carry the
@@ -52,9 +52,8 @@ class EngineError(ReproError, RuntimeError):
     Attributes
     ----------
     worker:
-        Identifier of the failing worker — a ``"host:port"`` string for
-        remote workers, a pid for pool workers — or ``None`` when the
-        failure is not attributable to one worker.
+        Identifier of the failing worker — a ``"host:port"`` string — or
+        ``None`` when the failure is not attributable to one worker.
     shard:
         Index of the shard whose task failed, or ``None``.
     """

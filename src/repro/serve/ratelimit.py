@@ -17,6 +17,7 @@ the clock is injectable so tests don't sleep.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -27,14 +28,15 @@ class TokenBucket:
     Parameters
     ----------
     rate:
-        Steady-state tokens (requests) per second.
+        Steady-state tokens (requests) per second; finite and positive.
     burst:
         Bucket capacity — how many requests may land back-to-back after an
         idle period before the steady rate applies.  Defaults to ``rate``
         (one second of traffic), with a floor of one token on the default
-        only.  An explicit ``burst`` must be positive (``ValueError``
-        otherwise — a non-positive capacity is a misconfiguration, not a
-        request for a 1-token bucket) and is used as given; a fractional
+        only.  An explicit ``burst`` must be finite and positive
+        (``ValueError`` otherwise — a non-positive capacity is a
+        misconfiguration, not a request for a 1-token bucket, and a NaN
+        one would reject every request) and is used as given; a fractional
         capacity below 1.0 builds a bucket that can never grant a whole
         token.
     clock:
@@ -48,10 +50,12 @@ class TokenBucket:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0 tokens/s, got %r" % (rate,))
-        if burst is not None and burst <= 0:
-            raise ValueError("burst must be > 0 tokens, got %r" % (burst,))
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError("rate must be finite and > 0 tokens/s, got %r"
+                             % (rate,))
+        if burst is not None and not (math.isfinite(burst) and burst > 0):
+            raise ValueError("burst must be finite and > 0 tokens, got %r"
+                             % (burst,))
         self.rate = float(rate)
         self.burst = max(1.0, self.rate) if burst is None else float(burst)
         self._clock = clock

@@ -57,6 +57,7 @@ solve in flight.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.execution import ExecutionPolicy, warm_start_fingerprint
+from repro.api.execution import warm_start_fingerprint
 from repro.api.manager import SessionManager
 from repro.api.registry import REGISTRY
 from repro.api.session import CrowdSession
@@ -124,8 +125,6 @@ class ServeConfig:
         Per-frame payload cap for *this* endpoint (the transport's own
         2 GiB cap is a corruption guard, not an admission policy); larger
         frames drop the connection.
-    execution:
-        Default :class:`ExecutionPolicy` for crowds the server creates.
     cache_size:
         Per-crowd rank-cache capacity (session default when ``None``).
     store_dir:
@@ -153,7 +152,6 @@ class ServeConfig:
     max_pending_answers: int = 1_000_000
     max_sessions: int = 64
     max_request_bytes: int = 256 << 20
-    execution: Optional[ExecutionPolicy] = None
     cache_size: Optional[int] = None
     store_dir: Optional[str] = None
     allow_shutdown: bool = True
@@ -166,9 +164,14 @@ class ServeConfig:
             raise ValueError(
                 "solver_threads must be >= 1, got %r" % (self.solver_threads,)
             )
-        if float(self.rate) < 0:
-            raise ValueError("rate must be >= 0 (0 disables), got %r"
-                             % (self.rate,))
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be finite and >= 0 (0 disables), "
+                             "got %r" % (self.rate,))
+        if self.burst is not None and not (
+            math.isfinite(self.burst) and self.burst > 0
+        ):
+            raise ValueError("burst must be finite and > 0 tokens, got %r"
+                             % (self.burst,))
         if int(self.max_pending_answers) < 1:
             raise ValueError(
                 "max_pending_answers must be >= 1, got %r"
@@ -303,7 +306,6 @@ class CrowdServer:
                 self._owned_store = store
             self.manager = SessionManager(
                 max_sessions=self.config.max_sessions,
-                execution=self.config.execution,
                 cache_size=self.config.cache_size,
                 store=store,
             )

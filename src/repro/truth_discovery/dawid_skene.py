@@ -35,10 +35,10 @@ user-range shards: the M-step counts of a user depend only on that user's
 answers (shards produce disjoint row blocks of ``M @ posteriors``), and the
 E-step accumulates per-item sums of per-answer terms.  :func:`dawid_skene_em`
 therefore factors the EM loop over two pluggable accumulators — the sparse
-matmuls here, or the shard-parallel bincount kernels in
-:mod:`repro.engine.kernels` — while every surrounding operation (priors,
-smoothing, normalization, convergence) is shared, so the two execution
-engines produce bit-identical scores.
+matmuls here, or the shard-parallel bincount kernels of
+:class:`~repro.engine.remote.coordinator.RemoteEngine` — while every
+surrounding operation (priors, smoothing, normalization, convergence) is
+shared, so the two execution engines produce bit-identical scores.
 """
 
 from __future__ import annotations

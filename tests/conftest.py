@@ -15,6 +15,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="module")
+def servers():
+    """Two in-process remote workers on real localhost sockets."""
+    from repro.engine.remote.worker import WorkerServer
+
+    pair = [WorkerServer(), WorkerServer()]
+    for server in pair:
+        server.serve_in_background()
+    yield pair
+    for server in pair:
+        server.shutdown()
+
+
 @pytest.fixture
 def paper_example_response() -> ResponseMatrix:
     """The running example of Figure 1: 4 users, 3 items, 3 options.

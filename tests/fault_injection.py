@@ -1,7 +1,6 @@
 """Fault-injection harness for the remote execution backend.
 
-Shared by ``tests/test_remote_backend.py``, ``tests/test_fault_injection.py``
-and the CI chaos job (``benchmarks/chaos_smoke.py``): spawn real worker
+Shared by the test suites that run the remote backend and the CI chaos job (``benchmarks/chaos_smoke.py``): spawn real worker
 subprocesses, place a :class:`~repro.engine.remote.chaos.ChaosProxy` in
 front of one, and drive deterministic failures (the proxy counts protocol
 frames, so "kill the worker after N requests" does not race a clock).
@@ -24,6 +23,13 @@ from repro.engine.remote.supervision import SupervisionConfig
 
 #: The src/ directory the worker subprocesses must import repro from.
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
+
+
+def worker_addresses(servers, count: Optional[int] = None) -> List[str]:
+    """``host:port`` of the first ``count`` (default: all) in-process
+    :class:`~repro.engine.remote.worker.WorkerServer` instances."""
+    return ["%s:%d" % (server.host, server.port)
+            for server in servers[:count]]
 
 
 def fast_supervision(**overrides) -> SupervisionConfig:

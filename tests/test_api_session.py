@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fault_injection import fast_supervision, worker_addresses
 from repro.api import CrowdSession, ExecutionPolicy
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
@@ -239,13 +240,16 @@ class TestServing:
         direct = HNDPower(random_state=0).rank(one_shot)
         assert np.array_equal(ranking.scores, direct.scores)
 
-    def test_execution_policy_override(self, triples):
+    def test_execution_policy_override(self, triples, servers):
         users, items, options = triples
         session = CrowdSession(num_items=20, num_options=3, num_users=50)
         session.add_answers(users, items, options)
         sharded = session.rank(
             "MajorityVote",
-            execution=ExecutionPolicy(backend="threads", shards=4),
+            execution=ExecutionPolicy(
+                shards=4, remote_workers=worker_addresses(servers),
+                supervision=fast_supervision(),
+            ),
         )
         assert sharded.diagnostics["engine"] == "sharded"
         # The cache key ignores execution, so the fused call hits warm.

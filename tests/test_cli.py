@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fault_injection import worker_addresses
 from repro.cli import build_parser, main
 
 
@@ -91,23 +92,24 @@ class TestRankCommand:
     def test_rank_arguments(self):
         args = build_parser().parse_args(
             ["rank", "crowd.npz", "--method", "Dawid-Skene", "--shards", "4",
-             "--workers", "2", "--repeat", "3"]
+             "--workers", "127.0.0.1:9101,127.0.0.1:9102", "--repeat", "3"]
         )
         assert args.input == "crowd.npz"
         assert args.method == "Dawid-Skene"
         assert args.shards == 4
-        # --workers doubles as a count and a host:port list; it stays a
-        # string at parse time and is interpreted by command_rank.
-        assert args.workers == "2"
+        # The host:port list stays a string at parse time and is split by
+        # command_rank.
+        assert args.workers == "127.0.0.1:9101,127.0.0.1:9102"
 
     def test_rank_requires_input(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rank"])
 
     @pytest.mark.parametrize("method", ["HnD", "Dawid-Skene", "MajorityVote"])
-    def test_rank_runs_sharded(self, saved_matrix, capsys, method):
+    def test_rank_runs_sharded(self, saved_matrix, capsys, servers, method):
         exit_code = main(
             ["rank", str(saved_matrix), "--method", method, "--shards", "4",
+             "--workers", ",".join(worker_addresses(servers)),
              "--repeat", "2", "--top", "3"]
         )
         assert exit_code == 0
@@ -127,10 +129,11 @@ class TestRankCommand:
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
-    def test_rank_batched_processes(self, saved_matrix, capsys):
+    def test_rank_batched_remote(self, saved_matrix, capsys, servers):
         exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
-                          "--backend", "processes", "--shards", "2",
-                          "--workers", "1", "--iteration-batch", "8"])
+                          "--shards", "2",
+                          "--workers", worker_addresses(servers, 1)[0],
+                          "--iteration-batch", "8"])
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
@@ -191,8 +194,7 @@ class TestRankErrorPaths:
 
     def test_iteration_batch_on_in_process_backend_rejected(self, capsys):
         """ExecutionPolicy's own validation surfaces through the CLI."""
-        exit_code = main(["rank", "no-such-file.npz", "--backend", "fused",
-                          "--iteration-batch", "4"])
+        exit_code = main(["rank", "no-such-file.npz", "--iteration-batch", "4"])
         assert exit_code == 2
         assert "iteration_batch" in capsys.readouterr().err
 
@@ -299,8 +301,10 @@ class TestServeCommand:
         ["serve", "--max-sessions", "0"],
         ["serve", "--max-pending-answers", "0"],
         ["serve", "--cache-size", "0"],
-        ["serve", "--shards", "0"],
-        ["serve", "--backend", "fused", "--shards", "4"],
+        ["serve", "--rate", "10", "--burst", "nan"],
+        ["serve", "--rate", "nan"],
+        ["serve", "--rate", "inf"],
+        ["serve", "--rate", "10", "--burst", "inf"],
     ])
     def test_invalid_configuration_exits_2(self, argv, capsys):
         assert main(argv) == 2

@@ -1,9 +1,11 @@
-"""Tests for the sharded execution engine (PR 3).
+"""Tests for the user-range sharding (PR 3).
 
 Covers the :class:`ShardedResponse` split / ``from_shards`` round-trip, the
-shard-parallel kernels' bit-identity with the single-process implementations
-(scores, not just rankings) across 1/2/8 shards and both dispatch modes, and
-the degenerate shapes (empty shards, single user, more shards than users).
+derived kernel state (column ids and counts equal to the compiled fused
+ones), and the degenerate shapes (empty shards, single user, more shards
+than users).  The sharded rankers' bit-identity with the single-process
+implementations is pinned on the remote backend in
+``tests/test_remote_backend.py``.
 """
 
 from __future__ import annotations
@@ -13,22 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fault_injection import fast_supervision, worker_addresses
+from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.engine import (
+    RemoteEngine,
     ResponseShard,
-    ShardedDawidSkeneRanker,
-    ShardedHNDPower,
-    ShardedMajorityVoteRanker,
     ShardedResponse,
-    avghits_apply,
-    majority_votes,
-    option_histograms,
-    option_sums,
-    user_sums,
+    rank_hnd_power,
 )
 from repro.exceptions import InvalidResponseMatrixError
-from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 from repro.truth_discovery.majority import MajorityVoteRanker
 
 
@@ -95,12 +92,10 @@ class TestSplit:
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
         sharded = ShardedResponse.split(response, 4)
-        scores, majority = (
-            ShardedMajorityVoteRanker(num_shards=4).rank(response).scores,
-            majority_votes(sharded),
+        assert sharded.num_shards == 1
+        np.testing.assert_array_equal(
+            sharded.columns, response.compiled.column_index
         )
-        assert scores.shape == (1,)
-        np.testing.assert_array_equal(majority, response.majority_choices())
 
     def test_empty_shards_are_noops(self, crowd):
         # Boundaries with a deliberately empty middle shard.
@@ -108,10 +103,14 @@ class TestSplit:
         sharded = ShardedResponse(crowd, [0, 300, 300, m])
         assert sharded.shards[1].num_answers == 0
         reference = crowd.compiled
-        vector = np.linspace(-1, 1, m)
-        np.testing.assert_array_equal(
-            avghits_apply(sharded, vector), reference.avghits_apply(vector)
-        )
+        # The kernel state the remote coordinator scales by is bitwise the
+        # fused kernels' own.
+        np.testing.assert_array_equal(sharded.columns, reference.column_index)
+        for name in ("answers_per_user", "inv_answers_per_user",
+                     "column_counts", "inv_column_counts"):
+            np.testing.assert_array_equal(
+                getattr(sharded, name), getattr(reference, name)
+            )
 
     def test_invalid_boundaries_rejected(self, crowd):
         with pytest.raises(ValueError, match="start at 0"):
@@ -181,99 +180,15 @@ class TestFromShards:
         assert rebuilt.source.content_hash() == response.content_hash()
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 8])
-@pytest.mark.parametrize("max_workers", [None, 4])
-class TestKernelBitIdentity:
-    """Shard-parallel kernels == single-process kernels, bit for bit."""
-
-    def test_option_histograms_and_majority(self, crowd, num_shards, max_workers):
-        sharded = ShardedResponse.split(crowd, num_shards, max_workers=max_workers)
-        np.testing.assert_array_equal(
-            option_histograms(sharded), crowd._option_count_matrix()
-        )
-        np.testing.assert_array_equal(
-            majority_votes(sharded), crowd.majority_choices()
-        )
-
-    def test_matvecs(self, crowd, num_shards, max_workers):
-        sharded = ShardedResponse.split(crowd, num_shards, max_workers=max_workers)
-        compiled = crowd.compiled
-        rng = np.random.default_rng(11)
-        user_values = rng.standard_normal(crowd.num_users)
-        option_values = rng.standard_normal(compiled.num_columns)
-        assert np.array_equal(
-            option_sums(sharded, user_values), compiled.option_sums(user_values)
-        )
-        assert np.array_equal(
-            user_sums(sharded, option_values), compiled.user_sums(option_values)
-        )
-        assert np.array_equal(
-            avghits_apply(sharded, user_values),
-            compiled.avghits_apply(user_values),
-        )
-
-
-@pytest.mark.parametrize("num_shards", [1, 2, 8])
-@pytest.mark.parametrize("max_workers", [None, 4])
-class TestRankerBitIdentity:
-    """Acceptance pin: sharded scores == single-process scores exactly."""
-
-    def test_majority_vote(self, crowd, num_shards, max_workers):
-        single = MajorityVoteRanker().rank(crowd)
-        sharded = ShardedMajorityVoteRanker(
-            num_shards=num_shards, max_workers=max_workers
-        ).rank(crowd)
-        assert np.array_equal(sharded.scores, single.scores)
-        np.testing.assert_array_equal(
-            sharded.diagnostics["discovered_truths"],
-            single.diagnostics["discovered_truths"],
-        )
-
-    def test_dawid_skene(self, crowd, num_shards, max_workers):
-        single = DawidSkeneRanker().rank(crowd)
-        sharded = ShardedDawidSkeneRanker(
-            num_shards=num_shards, max_workers=max_workers
-        ).rank(crowd)
-        assert np.array_equal(sharded.scores, single.scores)
-        assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
-        assert sharded.diagnostics["converged"] == single.diagnostics["converged"]
-        np.testing.assert_array_equal(
-            sharded.diagnostics["discovered_truths"],
-            single.diagnostics["discovered_truths"],
-        )
-
-    def test_hnd_power(self, crowd, num_shards, max_workers):
-        single = HNDPower(random_state=0).rank(crowd)
-        sharded = ShardedHNDPower(
-            num_shards=num_shards, max_workers=max_workers, random_state=0
-        ).rank(crowd)
-        assert np.array_equal(sharded.scores, single.scores)
-        assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
-        assert (
-            sharded.diagnostics["symmetry_flipped"]
-            == single.diagnostics["symmetry_flipped"]
-        )
-
-
 class TestShardedRankerPlumbing:
-    def test_rankers_accept_a_presplit_sharding(self, crowd):
-        sharded = ShardedResponse.split(crowd, 3)
-        direct = ShardedMajorityVoteRanker(num_shards=99).rank(sharded)
-        assert direct.diagnostics["num_shards"] == 3
-        single = MajorityVoteRanker().rank(crowd)
-        assert np.array_equal(direct.scores, single.scores)
-
-    def test_diagnostics_report_the_engine(self, crowd):
-        ranking = ShardedDawidSkeneRanker(num_shards=2).rank(crowd)
-        assert ranking.diagnostics["engine"] == "sharded"
-        assert ranking.diagnostics["num_shards"] == 2
-        assert ranking.method == "Dawid-Skene"
-
-    def test_hnd_trivial_matrix(self):
+    def test_hnd_trivial_matrix(self, servers):
         response = ResponseMatrix.from_triples(
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
-        ranking = ShardedHNDPower(num_shards=2, random_state=0).rank(response)
+        sharded = ShardedResponse.split(response, 2)
+        with RemoteEngine(sharded, worker_addresses(servers),
+                          supervision=fast_supervision()) as engine:
+            ranking = rank_hnd_power(engine, random_state=0)
         assert ranking.scores.shape == (1,)
         assert ranking.diagnostics["converged"]
 
@@ -287,20 +202,23 @@ class TestShardedRankerPlumbing:
 
 
 class TestConcurrentUse:
-    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd):
-        """Two service threads sharing one ShardedResponse must not clobber
+    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd,
+                                                            servers):
+        """Service threads sharing one ShardedResponse must not clobber
         each other's gather buffers (kernels use call-local scratch)."""
         from concurrent.futures import ThreadPoolExecutor
 
-        sharded = ShardedResponse.split(crowd, 4, max_workers=2)
+        sharded = ShardedResponse.split(crowd, 4)
         single_hnd = HNDPower(random_state=0).rank(crowd)
         single_mv = MajorityVoteRanker().rank(crowd)
+        policy = ExecutionPolicy(remote_workers=worker_addresses(servers),
+                                 supervision=fast_supervision())
 
         def run_hnd(_):
-            return ShardedHNDPower(num_shards=4, random_state=0).rank(sharded)
+            return rank(sharded, "HnD", random_state=0, execution=policy)
 
         def run_mv(_):
-            return ShardedMajorityVoteRanker(num_shards=4).rank(sharded)
+            return rank(sharded, "MajorityVote", execution=policy)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             hnd_results = list(pool.map(run_hnd, range(3)))

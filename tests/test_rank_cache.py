@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RankCache, ShardedHNDPower, ranker_fingerprint
+from repro.engine import RankCache, ranker_fingerprint
 from repro.evaluation.experiments import evaluate_rankers
 from repro.irt.generators import generate_dataset
 from repro.truth_discovery.cheating import TrueAnswerRanker
@@ -77,8 +77,11 @@ class TestFingerprint:
         )
 
     def test_classes_distinguish(self):
+        class Subclass(HNDPower):
+            pass
+
         assert ranker_fingerprint(HNDPower(random_state=0)) != ranker_fingerprint(
-            ShardedHNDPower(random_state=0)
+            Subclass(random_state=0)
         )
 
     def test_nondeterministic_random_state_is_uncacheable(self):
@@ -89,13 +92,22 @@ class TestFingerprint:
 
     def test_shard_configuration_is_excluded(self):
         """Execution-only knobs share one cache entry (results identical)."""
-        from repro.engine import ShardedDawidSkeneRanker
+        from repro.api import REGISTRY, ExecutionPolicy
+        from repro.api.execution import _PolicyRanker
+        from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 
-        a = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=4))
-        b = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=8, max_workers=2))
-        assert a == b
+        spec = REGISTRY.get("Dawid-Skene")
+
+        def fingerprint(policy, **params):
+            return ranker_fingerprint(_PolicyRanker(spec, params, policy))
+
+        workers = ["127.0.0.1:9101", "127.0.0.1:9102"]
+        a = fingerprint(ExecutionPolicy())
+        b = fingerprint(ExecutionPolicy(shards=8, remote_workers=workers,
+                                        iteration_batch=4))
+        assert a == b == ranker_fingerprint(DawidSkeneRanker())
         # Statistical parameters still distinguish.
-        c = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=4, smoothing=0.5))
+        c = fingerprint(ExecutionPolicy(), smoothing=0.5)
         assert a != c
 
     def test_array_valued_parameters_fingerprint(self):
@@ -164,15 +176,15 @@ class TestRankCache:
 
     def test_sharded_response_keys_by_its_matrix(self, response):
         """A pre-split sharding is accepted and shares the matrix's key."""
+        from repro.api import rank
         from repro.engine import ShardedResponse
 
         sharded = ShardedResponse.split(response, 4)
         cache = RankCache()
-        ranker = ShardedHNDPower(num_shards=4, random_state=0)
-        first = cache.rank(ranker, sharded)
-        # Same ranker + the bare matrix hits the same entry (the sharding
+        first = rank(sharded, "HnD", random_state=0, cache=cache)
+        # Same method + the bare matrix hits the same entry (the sharding
         # is an execution detail, not part of the answer identity).
-        second = cache.rank(ranker, response)
+        second = rank(response, "HnD", random_state=0, cache=cache)
         assert second is first
         assert cache.stats()["hits"] == 1
         direct = HNDPower(random_state=0).rank(response)
@@ -249,13 +261,15 @@ class TestFailurePaths:
     class _FlakyRanker(HNDPower):
         """Raises on the first ``fail_times`` rank() calls, then succeeds."""
 
-        # The call counter is bookkeeping, not a result-affecting parameter.
-        cache_excluded_attributes = ("fail_times", "calls")
-
         def __init__(self, fail_times=1, **kwargs):
             super().__init__(**kwargs)
             self.fail_times = fail_times
             self.calls = 0
+
+        def cache_fingerprint(self):
+            # The call counter is bookkeeping, not a result-affecting
+            # parameter: key by the solver configuration alone.
+            return ranker_fingerprint(HNDPower(random_state=self.random_state))
 
         def rank(self, response, **kwargs):
             self.calls += 1

@@ -1,23 +1,32 @@
-"""Tests for the remote execution backend (PR 6).
+"""Tests for the remote execution backend and the unified rank() API.
 
-The acceptance matrix mirrors ``test_process_backend.py``: the runners
-over a :class:`RemoteEngine` must produce **bit-identical scores** to the
-fused single-process rankers at 1/2/8 shards and 1/2 workers for HnD,
-Dawid–Skene and MajorityVote — including runs where a worker is killed or
-stalled mid-solve and its shards are reassigned.  Also covers the wire
-protocol, the supervision primitives (circuit breaker, backoff), the
-``ExecutionPolicy``/CLI plumbing, and the engine lifecycle.
+The acceptance matrix: the runners over a :class:`RemoteEngine` must
+produce **bit-identical scores** to the fused single-process rankers at
+1/2/8 shards and 1/2 workers for HnD, Dawid–Skene and MajorityVote —
+including runs where a worker is killed or stalled mid-solve and its shards
+are reassigned.  Also covers the wire protocol, the supervision primitives
+(circuit breaker, backoff), the :class:`ExecutionPolicy` semantics (backend
+selection, validation, cache sharing across backends), the CLI plumbing,
+and the engine lifecycle.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fault_injection import WorkerFleet, fast_supervision
+from fault_injection import (
+    SRC_DIR,
+    WorkerFleet,
+    fast_supervision,
+    worker_addresses,
+)
 from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
@@ -67,21 +76,6 @@ def references(crowd):
         "Dawid-Skene": DawidSkeneRanker().rank(crowd),
         "MajorityVote": MajorityVoteRanker().rank(crowd),
     }
-
-
-@pytest.fixture(scope="module")
-def servers():
-    """Two in-process worker servers on real localhost sockets."""
-    pair = [WorkerServer(), WorkerServer()]
-    for server in pair:
-        server.serve_in_background()
-    yield pair
-    for server in pair:
-        server.shutdown()
-
-
-def _addresses(servers, count):
-    return ["%s:%d" % (server.host, server.port) for server in servers[:count]]
 
 
 # ----------------------------------------------------------------------- #
@@ -166,9 +160,11 @@ class TestProtocol:
 class TestAddressParsing:
     def test_forms(self):
         assert parse_worker_address("localhost:9101") == ("localhost", 9101)
+        assert parse_worker_address("[::1]:9101") == ("::1", 9101)
         assert parse_worker_address(("10.0.0.1", "80")) == ("10.0.0.1", 80)
 
-    @pytest.mark.parametrize("bad", ["9101", "host:", "host:zero", ("h", 0)])
+    @pytest.mark.parametrize("bad", ["9101", "host:", "host:zero", ("h", 0),
+                                     "[]:9101"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_worker_address(bad)
@@ -249,7 +245,7 @@ class TestRemoteBitIdentity:
     def test_all_methods(self, crowd, references, servers, num_shards,
                          num_workers):
         sharded = ShardedResponse.split(crowd, num_shards)
-        with RemoteEngine(sharded, _addresses(servers, num_workers),
+        with RemoteEngine(sharded, worker_addresses(servers, num_workers),
                           supervision=fast_supervision()) as engine:
             hnd = rank_hnd_power(engine, random_state=0)
             assert np.array_equal(hnd.scores, references["HnD"].scores)
@@ -285,7 +281,7 @@ class TestRemoteKernels:
         user_values = rng.standard_normal(crowd.num_users)
         option_values = rng.standard_normal(compiled.num_columns)
         sharded = ShardedResponse.split(crowd, 5)
-        with RemoteEngine(sharded, _addresses(servers, 2),
+        with RemoteEngine(sharded, worker_addresses(servers, 2),
                           supervision=fast_supervision()) as engine:
             assert np.array_equal(
                 engine.option_sums(user_values), compiled.option_sums(user_values)
@@ -305,7 +301,7 @@ class TestRemoteKernels:
         m = crowd.num_users
         sharded = ShardedResponse(crowd, [0, 150, 150, m])
         vector = np.linspace(-1, 1, m)
-        with RemoteEngine(sharded, _addresses(servers, 2),
+        with RemoteEngine(sharded, worker_addresses(servers, 2),
                           supervision=fast_supervision()) as engine:
             np.testing.assert_array_equal(
                 engine.avghits_apply(vector), crowd.compiled.avghits_apply(vector)
@@ -346,7 +342,7 @@ class TestMidSolveRecovery:
         try:
             sharded = ShardedResponse.split(crowd, 4)
             with RemoteEngine(
-                sharded, [proxy.address, _addresses(servers, 2)[1]],
+                sharded, [proxy.address, worker_addresses(servers, 2)[1]],
                 supervision=fast_supervision(request_timeout=0.3),
             ) as engine:
                 ds = rank_dawid_skene(engine)
@@ -393,7 +389,7 @@ class TestMidSolveRecovery:
 class TestRemoteLifecycle:
     def test_close_is_idempotent_and_final(self, crowd, servers):
         engine = RemoteEngine(ShardedResponse.split(crowd, 2),
-                              _addresses(servers, 1),
+                              worker_addresses(servers, 1),
                               supervision=fast_supervision())
         scores, _ = engine.majority_scores()
         assert scores.shape == (crowd.num_users,)
@@ -432,18 +428,39 @@ class TestRemoteLifecycle:
 # ----------------------------------------------------------------------- #
 class TestRemotePolicy:
     def test_backend_remote_requires_workers(self):
+        """Sharding runs only on remote workers."""
         with pytest.raises(ValueError, match="remote_workers"):
-            ExecutionPolicy(backend="remote")
+            ExecutionPolicy(shards=4)
+        with pytest.raises(ValueError, match="remote_workers"):
+            ExecutionPolicy(remote_workers=[])
 
     def test_remote_workers_resolve_auto_to_remote(self):
         policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"])
-        assert policy.resolved_backend == "remote"
+        assert policy.backend == "remote"
         assert policy.remote_workers == (("127.0.0.1", 9101),)
 
     def test_remote_workers_with_other_backend_rejected(self):
-        with pytest.raises(ValueError, match="only applies"):
+        """The backend follows from remote_workers; it is not settable."""
+        with pytest.raises(TypeError, match="backend"):
             ExecutionPolicy(backend="threads", shards=2,
                             remote_workers=["127.0.0.1:9101"])
+        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"])
+        with pytest.raises(AttributeError):
+            policy.backend = "fused"
+
+    def test_auto_backend_resolution(self):
+        assert ExecutionPolicy().backend == "fused"
+        assert ExecutionPolicy(
+            shards=4, remote_workers=["127.0.0.1:9101"]
+        ).backend == "remote"
+
+    def test_invalid_configurations_rejected(self):
+        with pytest.raises(ValueError, match="shards"):
+            ExecutionPolicy(shards=0)
+        with pytest.raises(ValueError, match="remote_workers"):
+            ExecutionPolicy(shards=8)
+        with pytest.raises(TypeError, match="workers"):
+            ExecutionPolicy(workers=2)
 
     def test_malformed_address_fails_fast(self):
         with pytest.raises(ValueError, match="host:port"):
@@ -459,8 +476,8 @@ class TestRemotePolicy:
         remote = rank(
             crowd, "MajorityVote",
             execution=ExecutionPolicy(
-                backend="remote", shards=4,
-                remote_workers=_addresses(servers, 2),
+                shards=4,
+                remote_workers=worker_addresses(servers, 2),
                 supervision=fast_supervision(), cache=cache,
             ),
         )
@@ -470,28 +487,116 @@ class TestRemotePolicy:
         cold = rank(
             crowd, "HnD", random_state=0,
             execution=ExecutionPolicy(
-                backend="remote", shards=2,
-                remote_workers=_addresses(servers, 2),
+                shards=2,
+                remote_workers=worker_addresses(servers, 2),
                 supervision=fast_supervision(),
             ),
         )
         assert np.array_equal(cold.scores, references["HnD"].scores)
 
 
+class TestUnifiedRank:
+    """rank(matrix, name, execution=...) — the acceptance surface."""
+
+    def test_all_backends_bit_identical(self, crowd, references, servers):
+        fused = rank(crowd, "HnD", random_state=0)
+        remote = rank(
+            crowd, "HnD", random_state=0,
+            execution=ExecutionPolicy(
+                shards=8, remote_workers=worker_addresses(servers),
+                supervision=fast_supervision(),
+            ),
+        )
+        for ranking in (fused, remote):
+            assert np.array_equal(ranking.scores, references["HnD"].scores)
+
+    def test_presplit_sharding_is_reused(self, crowd, references, servers):
+        sharded = ShardedResponse.split(crowd, 3)
+        ranking = rank(
+            sharded, "MajorityVote",
+            execution=ExecutionPolicy(
+                shards=99, remote_workers=worker_addresses(servers),
+                supervision=fast_supervision(),
+            ),
+        )
+        assert ranking.diagnostics["num_shards"] == 3
+        assert np.array_equal(ranking.scores, references["MajorityVote"].scores)
+        fused = rank(sharded, "MajorityVote")
+        assert np.array_equal(fused.scores, references["MajorityVote"].scores)
+
+    def test_unknown_method_has_hint(self, crowd):
+        with pytest.raises(KeyError, match="did you mean"):
+            rank(crowd, "majority-vote-ish")
+
+    def test_unsharded_method_rejected_on_sharded_backend(self, crowd):
+        # Rejected before any socket is opened: the address needs no worker.
+        with pytest.raises(ValueError, match="no shard-parallel kernels"):
+            rank(crowd, "HITS", execution=ExecutionPolicy(
+                shards=2, remote_workers=["127.0.0.1:9"]))
+
+    def test_method_params_are_validated(self, crowd):
+        with pytest.raises(TypeError, match="did you mean 'tolerance'"):
+            rank(crowd, "HnD", tol=1e-9)
+
+    def test_cache_shared_across_backends(self, crowd, references, servers):
+        """A ranking computed remotely serves a later fused call: backends
+        are bit-identical, so the cache key leaves the backend out."""
+        cache = RankCache()
+        remote = rank(
+            crowd, "HnD", random_state=0,
+            execution=ExecutionPolicy(
+                shards=8, remote_workers=worker_addresses(servers),
+                supervision=fast_supervision(), cache=cache,
+            ),
+        )
+        fused = rank(crowd, "HnD", random_state=0,
+                     execution=ExecutionPolicy(cache=cache))
+        assert fused is remote
+        assert np.array_equal(fused.scores, references["HnD"].scores)
+        assert cache.stats() == {"hits": 1, "misses": 1, "bypasses": 0,
+                                 "disk_hits": 0, "size": 1}
+
+    def test_nondeterministic_random_state_bypasses_cache(self, crowd):
+        cache = RankCache()
+        rank(crowd, "HnD", execution=ExecutionPolicy(cache=cache))
+        assert cache.stats()["bypasses"] == 1
+
+    def test_rank_level_cache_overrides_policy(self, crowd):
+        policy_cache = RankCache()
+        override = RankCache()
+        rank(crowd, "MajorityVote",
+             execution=ExecutionPolicy(cache=policy_cache), cache=override)
+        assert policy_cache.stats()["misses"] == 0
+        assert override.stats()["misses"] == 1
+
+
 class TestRemoteCLI:
+    def test_worker_module_runs_without_runpy_warning(self):
+        """The documented launch command must not find its own module
+        already imported (runpy's RuntimeWarning), even as an error."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.engine.remote.worker", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_workers_flag_rejects_garbage(self, tmp_path, crowd, capsys):
         from repro.cli import main
         path = tmp_path / "crowd.npz"
         crowd.save(path)
         assert main(["rank", str(path), "--workers", "many"]) == 2
-        assert "--workers takes a count" in capsys.readouterr().err
+        assert "host:port" in capsys.readouterr().err
 
     def test_backend_remote_without_workers_exits_2(self, tmp_path, crowd,
                                                     capsys):
         from repro.cli import main
         path = tmp_path / "crowd.npz"
         crowd.save(path)
-        assert main(["rank", str(path), "--backend", "remote"]) == 2
+        assert main(["rank", str(path), "--shards", "4"]) == 2
         assert "remote_workers" in capsys.readouterr().err
 
     def test_rank_backend_remote_smoke(self, tmp_path, crowd, servers,
@@ -500,9 +605,8 @@ class TestRemoteCLI:
         path = tmp_path / "crowd.npz"
         crowd.save(path)
         code = main([
-            "rank", str(path), "--method", "MajorityVote",
-            "--backend", "remote", "--shards", "4",
-            "--workers", ",".join(_addresses(servers, 2)),
+            "rank", str(path), "--method", "MajorityVote", "--shards", "4",
+            "--workers", ",".join(worker_addresses(servers, 2)),
             "--repeat", "2",
         ])
         output = capsys.readouterr().out

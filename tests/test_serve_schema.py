@@ -235,15 +235,17 @@ class TestTokenBucket:
         assert bucket.try_acquire() > 0.0
 
     def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError, match="rate"):
-            TokenBucket(rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate"):
+                TokenBucket(rate=rate)
 
     def test_burst_floor_is_one_token(self):
         bucket = TokenBucket(rate=0.001, clock=lambda: 0.0)
         assert bucket.burst == 1.0
         assert bucket.try_acquire() == 0.0
 
-    @pytest.mark.parametrize("burst", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("burst", [0.0, -1.0, -0.5,
+                                       float("nan"), float("inf")])
     def test_non_positive_burst_rejected(self, burst):
         # A burst <= 0 used to be silently floored to a 1-token bucket; a
         # nonsensical capacity is a loud configuration error now.

@@ -100,17 +100,19 @@ class TestLRUBound:
 
 class TestPolicyDefaults:
     def test_sessions_inherit_manager_policy(self):
-        policy = ExecutionPolicy(backend="threads", shards=2)
+        policy = ExecutionPolicy(shards=2, remote_workers=["127.0.0.1:9101"])
         manager = SessionManager(execution=policy)
         session = manager.create("quiz")
         assert session.execution is policy
+        assert manager.describe()[0]["backend"] == "remote"
 
     def test_create_override_wins(self):
-        manager = SessionManager(execution=ExecutionPolicy(backend="threads",
-                                                           shards=2))
+        manager = SessionManager(execution=ExecutionPolicy(
+            shards=2, remote_workers=["127.0.0.1:9101"]))
         override = ExecutionPolicy()
         session = manager.create("quiz", execution=override)
         assert session.execution is override
+        assert manager.describe()[0]["backend"] == "fused"
 
     def test_cache_size_default(self):
         manager = SessionManager(cache_size=4)

@@ -2,10 +2,9 @@
 
 Three contracts:
 
-* **Fused shard kernels + whole-solve dispatch stay bit-identical**: HnD
-  over fused/threads/processes/remote at 1/2/8 shards, with
-  ``iteration_batch`` 1/4/32 on the round-trip backends (above 1 the
-  whole Arnoldi solve runs on a worker's replica), produces scores bitwise
+* **Whole-solve dispatch stays bit-identical**: HnD on the remote backend
+  at 1/2/8 shards, with ``iteration_batch`` 1/4/32 (above 1 the whole
+  Arnoldi solve runs on a worker's replica), produces scores bitwise
   equal to the single-process solve — warm-started too, and including a
   run where a worker is SIGKILLed as the solve is dispatched to it, and a
   run where *every* worker dies and the solve finishes on the
@@ -25,19 +24,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fault_injection import WorkerFleet, fast_supervision
+from fault_injection import WorkerFleet, fast_supervision, worker_addresses
 from repro.api.execution import ExecutionPolicy
 from repro.core.hitsndiffs import HNDPower, hnd_power_solve
 from repro.core.response import ResponseMatrix
 from repro.engine import (
     ChaosProxy,
-    ProcessEngine,
     RemoteEngine,
     ShardedResponse,
-    ThreadKernels,
     rank_hnd_power,
 )
-from repro.engine.remote.worker import WorkerServer
 from repro.truth_discovery.glad import GLADRanker
 
 
@@ -71,20 +67,6 @@ def reference(crowd):
     return HNDPower(random_state=0).rank(crowd)
 
 
-@pytest.fixture(scope="module")
-def servers():
-    pair = [WorkerServer(), WorkerServer()]
-    for server in pair:
-        server.serve_in_background()
-    yield pair
-    for server in pair:
-        server.shutdown()
-
-
-def _addresses(servers):
-    return ["%s:%d" % (server.host, server.port) for server in servers]
-
-
 def _assert_pinned(ranking, reference, *, backend, batch):
     assert np.array_equal(ranking.scores, reference.scores)
     assert ranking.diagnostics["iterations"] == reference.diagnostics["iterations"]
@@ -95,34 +77,14 @@ def _assert_pinned(ranking, reference, *, backend, batch):
 
 
 # ----------------------------------------------------------------------- #
-# Bit-identity: per-shard CSR kernels and batched dispatch
+# Bit-identity: batched dispatch
 # ----------------------------------------------------------------------- #
 @pytest.mark.parametrize("num_shards", [1, 2, 8])
 class TestBatchedBitIdentity:
-    def test_fused_and_threads(self, crowd, reference, num_shards):
-        """The per-shard CSR ``user_sums`` kernel keeps the bits (batch=1 —
-        in-process backends have no round-trip to amortize)."""
-        for max_workers, backend in ((1, "serial"), (4, "threads")):
-            sharded = ShardedResponse.split(crowd, num_shards,
-                                            max_workers=max_workers)
-            # Force the cached per-shard blocks into existence first so the
-            # test exercises the CSR path, not a silent fallback.
-            assert len(sharded.shard_blocks) == sharded.num_shards
-            ranking = rank_hnd_power(ThreadKernels(sharded), random_state=0)
-            _assert_pinned(ranking, reference, backend=backend, batch=1)
-
-    @pytest.mark.parametrize("batch", [1, 4, 32])
-    def test_processes(self, crowd, reference, num_shards, batch):
-        sharded = ShardedResponse.split(crowd, num_shards)
-        with ProcessEngine(sharded, max_workers=2,
-                           iteration_batch=batch) as engine:
-            ranking = rank_hnd_power(engine, random_state=0)
-        _assert_pinned(ranking, reference, backend="processes", batch=batch)
-
     @pytest.mark.parametrize("batch", [1, 4, 32])
     def test_remote(self, crowd, reference, servers, num_shards, batch):
         sharded = ShardedResponse.split(crowd, num_shards)
-        with RemoteEngine(sharded, _addresses(servers),
+        with RemoteEngine(sharded, worker_addresses(servers),
                           supervision=fast_supervision(),
                           iteration_batch=batch) as engine:
             ranking = rank_hnd_power(engine, random_state=0)
@@ -134,7 +96,7 @@ class TestBatchedBitIdentity:
         larger = planted_crowd(402, 80, 4, 0.25, seed=3)
         fused = HNDPower(random_state=0).rank(larger, init_state=reference.state)
         sharded = ShardedResponse.split(larger, num_shards)
-        with RemoteEngine(sharded, _addresses(servers),
+        with RemoteEngine(sharded, worker_addresses(servers),
                           supervision=fast_supervision(),
                           iteration_batch=4) as engine:
             ranking = rank_hnd_power(engine, random_state=0,
@@ -250,20 +212,25 @@ class TestPolicyIterationBatch:
         with pytest.raises(ValueError, match="iteration_batch"):
             ExecutionPolicy(iteration_batch=0)
 
-    @pytest.mark.parametrize("backend,shards", [("fused", 1), ("threads", 2)])
-    def test_rejected_for_in_process_backends(self, backend, shards):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["fused-1", "threads-2"])
+    def test_rejected_for_in_process_backends(self, shards):
+        """Without remote_workers there is no round-trip to amortize, for a
+        single shard or for a multi-shard request alike."""
         with pytest.raises(ValueError, match="iteration_batch"):
-            ExecutionPolicy(backend=backend, shards=shards, iteration_batch=4)
+            ExecutionPolicy(shards=shards, iteration_batch=4)
 
     def test_accepted_for_round_trip_backends(self):
-        policy = ExecutionPolicy(backend="processes", shards=2,
+        policy = ExecutionPolicy(shards=2, remote_workers=["127.0.0.1:9101"],
                                  iteration_batch=8)
         assert policy.iteration_batch == 8
 
-    def test_batched_policy_rank_is_bit_identical(self, crowd, reference):
+    def test_batched_policy_rank_is_bit_identical(self, crowd, reference,
+                                                  servers):
         from repro.api import rank
 
-        policy = ExecutionPolicy(backend="processes", shards=2, workers=2,
+        policy = ExecutionPolicy(shards=2,
+                                 remote_workers=worker_addresses(servers),
+                                 supervision=fast_supervision(),
                                  iteration_batch=8)
         ranking = rank(crowd, "HnD", execution=policy, random_state=0)
         assert np.array_equal(ranking.scores, reference.scores)

@@ -7,8 +7,8 @@ matrix — the same ranking up to users the solver itself cannot separate
 (score gaps below the convergence tolerance; exact duplicate answer
 patterns tie exactly, and any two solver runs order them arbitrarily), with
 scores within the method's tolerance scale.  Given the same solver state,
-the fused, thread, and process backends stay **bit-identical** (a warm
-start is only a different initial iterate).  The guards are pinned too: a
+the fused and remote backends stay **bit-identical** (a warm start is only
+a different initial iterate).  The guards are pinned too: a
 no-op append still serves the exact warm cache hit, an incompatible state
 solves cold up front, and a residual blow-up (poisoned state) falls back to
 a cold solve whose scores equal a pure cold run bit for bit.
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fault_injection import fast_supervision, worker_addresses
 from repro.api import REGISTRY, CrowdSession, ExecutionPolicy, SolverState
 from repro.api import rank as api_rank
 from repro.core.response import ResponseMatrix
@@ -229,8 +230,10 @@ class TestConvergenceEquivalence:
     ])
     @pytest.mark.parametrize("shards", [1, 2, 8])
     def test_warm_solve_bit_identical_across_backends(self, medium_crowd,
-                                                      method, params, shards):
-        """Same init state => same trajectory on fused/threads/processes."""
+                                                      servers, method,
+                                                      params, shards):
+        """Same init state => same trajectory on fused and on remote with
+        one or two workers."""
         base, append = medium_crowd
         base_matrix = ResponseMatrix.from_triples(
             *base, shape=(600, 80), num_options=4
@@ -242,20 +245,19 @@ class TestConvergenceEquivalence:
         )
         fused = api_rank(merged, method, init_state=state, **params)
         assert fused.diagnostics["warm_start"] == "warm"
-        threaded = api_rank(
-            merged, method, init_state=state,
-            execution=ExecutionPolicy(backend="threads", shards=shards, workers=2),
-            **params,
-        )
-        process = api_rank(
-            merged, method, init_state=state,
-            execution=ExecutionPolicy(backend="processes", shards=shards, workers=2),
-            **params,
-        )
-        np.testing.assert_array_equal(fused.scores, threaded.scores)
-        np.testing.assert_array_equal(fused.scores, process.scores)
-        assert threaded.diagnostics["warm_start"] == "warm"
-        assert process.diagnostics["warm_start"] == "warm"
+        for workers in (1, 2):
+            remote = api_rank(
+                merged, method, init_state=state,
+                execution=ExecutionPolicy(
+                    shards=shards,
+                    remote_workers=worker_addresses(servers, workers),
+                    supervision=fast_supervision(),
+                ),
+                **params,
+            )
+            np.testing.assert_array_equal(fused.scores, remote.scores)
+            assert remote.diagnostics["warm_start"] == "warm"
+            assert remote.diagnostics["num_workers"] == workers
 
     def test_hnd_warm_within_tie_bound_at_default_tolerance(self,
                                                             medium_crowd):
